@@ -119,8 +119,6 @@ impl Calibration {
             "colfile_decode" => WorkRate::new(0.2e-6, 2.0e-9),
             "udf_eval" => WorkRate::new(1.0e-6, 0.0),
             "delete_mark" => WorkRate::new(0.2e-6, 0.0),
-            // Append-mode final copy of staging into target (Sec. 5).
-            "s2v_append_copy" => WorkRate::new(0.5e-6, 3.0e-9),
             _ => WorkRate::new(0.1e-6, 1.0e-9),
         }
     }
@@ -134,7 +132,7 @@ impl Calibration {
             // few seconds" (Sec. 4.7.1).
             "s2v_setup_tables" => 2.0,
             "s2v_teardown_tables" => 1.5,
-            // Overwrite's final commit: an atomic rename.
+            // S2V's final commit (either save mode): an atomic rename.
             "s2v_atomic_rename" => 1.0,
             _ => 0.1,
         }

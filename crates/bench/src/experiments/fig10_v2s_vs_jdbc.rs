@@ -87,6 +87,7 @@ mod tests {
 
     #[test]
     fn pushdown_collapses_and_v2s_wins_4x_without() {
+        let _serial = crate::experiments::serial::hold();
         let (_, (v2s_push, jdbc_push, v2s_full, jdbc_full)) = run();
         // Pushdown shrinks both loads dramatically.
         assert!(v2s_push < v2s_full / 4.0, "{v2s_push} vs {v2s_full}");

@@ -104,6 +104,7 @@ mod tests {
 
     #[test]
     fn overheads_at_one_row_and_divergence_at_bulk() {
+        let _serial = crate::experiments::serial::hold();
         let (_, series) = run();
         let (_, s2v_1, jdbc_1) = series[0];
         // One row shows fixed costs, a few seconds each, with S2V's

@@ -75,6 +75,7 @@ mod tests {
 
     #[test]
     fn dfs_read_faster_write_comparable() {
+        let _serial = crate::experiments::serial::hold();
         let (_, (v2s, s2v, read, write)) = run();
         // DFS read beats V2S by roughly the paper's ~30% (we accept
         // 10–50% faster).

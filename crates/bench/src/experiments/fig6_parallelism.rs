@@ -68,6 +68,7 @@ mod tests {
 
     #[test]
     fn bowl_shape_holds() {
+        let _serial = crate::experiments::serial::hold();
         // A cheap sweep still exhibits the paper's qualitative claims.
         let (_, series) = run(&[4, 32, 256]);
         let v2s: Vec<f64> = series.iter().map(|(_, v, _)| *v).collect();
@@ -91,6 +92,7 @@ mod tests {
 
     #[test]
     fn near_paper_anchors() {
+        let _serial = crate::experiments::serial::hold();
         let (_, series) = run(&[32, 128]);
         let (_, v2s32, _) = series[0];
         let (_, v2s128, s2v128) = series[1];

@@ -68,6 +68,7 @@ mod tests {
 
     #[test]
     fn linear_scaling_with_crossover() {
+        let _serial = crate::experiments::serial::hold();
         let (_, series) = run(&[1_000_000, 100_000_000, 1_000_000_000]);
         let (r0, v0, s0) = series[0];
         let (r1, v1, s1) = series[1];

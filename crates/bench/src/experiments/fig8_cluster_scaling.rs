@@ -62,6 +62,7 @@ mod tests {
 
     #[test]
     fn near_flat_scaling_per_doubling() {
+        let _serial = crate::experiments::serial::hold();
         let (_, series) = run(CLUSTER_SWEEP);
         for pair in series.windows(2) {
             let (n0, v0, s0) = pair[0];

@@ -47,6 +47,7 @@ mod tests {
 
     #[test]
     fn one_column_shape_is_slower_for_both_directions() {
+        let _serial = crate::experiments::serial::hold();
         let (_, series) = run();
         let (_, v2s_wide, s2v_wide) = series[0];
         let (_, v2s_tall, s2v_tall) = series[1];

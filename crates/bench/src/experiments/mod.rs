@@ -82,3 +82,20 @@ pub fn run_v2s_load(bed: &TestBed, table: &str, partitions: usize) -> Vec<Event>
     assert!(!rows.is_empty(), "load produced no rows");
     bed.db.recorder().drain()
 }
+
+/// Serializes the experiment tests. Each asserts on `obs::global()`
+/// counter deltas or on model timings of real task schedules, and an
+/// experiment running beside it in the same test process pollutes both.
+#[cfg(test)]
+pub(crate) mod serial {
+    use std::sync::OnceLock;
+
+    use parking_lot::{Mutex, MutexGuard};
+
+    /// Hold the experiment lock for the rest of the calling test.
+    pub(crate) fn hold() -> MutexGuard<'static, ()> {
+        static EXPERIMENTS: OnceLock<Mutex<()>> = OnceLock::new();
+        let experiments = EXPERIMENTS.get_or_init(|| Mutex::new(()));
+        experiments.lock()
+    }
+}

@@ -211,6 +211,7 @@ mod tests {
     /// aggregate — and skipping actually eliminated whole containers.
     #[test]
     fn pushdown_ablation_meets_reduction_targets() {
+        let _serial = crate::experiments::serial::hold();
         let bed = TestBed::new(4, 8);
         let report = run(&bed);
         assert!(

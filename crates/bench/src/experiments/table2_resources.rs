@@ -83,6 +83,7 @@ mod tests {
 
     #[test]
     fn steady_state_matches_table_2() {
+        let _serial = crate::experiments::serial::hold();
         let (_, usages) = run();
         let (_, low) = usages[0];
         let (_, high) = usages[1];

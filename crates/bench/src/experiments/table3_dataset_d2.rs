@@ -37,6 +37,7 @@ mod tests {
 
     #[test]
     fn d2_flips_the_direction_ranking() {
+        let _serial = crate::experiments::serial::hold();
         let (_, (v2s_d2, s2v_d2)) = run();
         // Near the paper's absolute numbers (generous bound).
         assert!((v2s_d2 / 378.0 - 1.0).abs() < 0.4, "V2S D2 {v2s_d2}");

@@ -91,6 +91,7 @@ mod tests {
 
     #[test]
     fn copy_best_edges_out_s2v() {
+        let _serial = crate::experiments::serial::hold();
         let (_, s2v, sweep) = run(&[4, 8, 16]);
         let best_copy = sweep.iter().map(|(_, s)| *s).fold(f64::INFINITY, f64::min);
         // COPY's best beats S2V, but only modestly (the paper's ~6%;

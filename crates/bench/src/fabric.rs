@@ -28,11 +28,16 @@ impl TestBed {
             node_count: db_nodes,
             ..ClusterConfig::default()
         });
+        // Speculation off, as in the paper's Spark (its default): a
+        // duplicate attempt launched because this host descheduled a
+        // task would land in the cost log under the same partition, and
+        // the model would charge it as if that partition ran twice.
         let ctx = SparkContext::new(SparkConf {
             nodes: compute_nodes,
             cores_per_node: 24,
             max_task_attempts: 4,
             thread_cap: 8,
+            speculation: false,
             ..SparkConf::default()
         });
         DefaultSource::register(&ctx, Arc::clone(&db));

@@ -24,10 +24,15 @@
 //!    finished — again conditionally, so a speculative duplicate of the
 //!    committer cannot commit twice.
 //!
-//! In overwrite mode the final commit is the atomic swap of staging
-//! into target (charged to the cost model as a constant-time rename);
-//! in append mode it copies the staging rows (the slower path the
-//! paper's Sec. 5 discusses).
+//! The final commit publishes staging into target with
+//! [`Session::publish`]: a metadata-only move of staging's ROS
+//! containers and WOS rows into the target, applied at the commit
+//! epoch, with no row scanned, deleted or re-inserted. Overwrite also
+//! deletes the target's old rows at that epoch, so it is the paper's
+//! atomic rename; append is the same move without the delete, so it no
+//! longer pays the staging-to-target copy the paper's Sec. 5 attributes
+//! to the 2016 connector. Both charge the cost model one constant-time
+//! rename.
 //!
 //! Every database touchpoint — the driver's setup/wrap-up and each
 //! phase — runs on a retrying, failing-over connection
@@ -45,7 +50,7 @@ use std::time::Instant;
 use avrolite::{AvroSchema, Codec, Writer};
 use common::Value;
 use mppdb::catalog::{Segmentation, TableDef};
-use mppdb::{Cluster, CopyOptions, CopySource, DbError, DbResult, QuerySpec, Session};
+use mppdb::{Cluster, CopyOptions, CopySource, DbError, DbResult, Session};
 use netsim::record::{NetClass, NodeRef};
 use sparklet::{DataFrame, SaveMode, SparkContext, SparkError};
 
@@ -939,39 +944,17 @@ fn run_task_phases(
             return Ok(TaskEnd::Done);
         }
 
-        // Commit staging into target. Overwrite is the atomic swap (a
-        // constant-time rename in the paper; realized here as a
-        // transactional replace with the physical row copy muted in the
-        // cost log and charged as a rename); append copies for real —
-        // the slower path Sec. 5 discusses.
-        match mode {
-            SaveMode::Append => {
-                let staging_rows = session
-                    .query(&QuerySpec::scan(&tables.staging))
-                    .map_err(db)?;
-                cluster.recorder().work(
-                    Some(p as u64),
-                    NodeRef::Db(node),
-                    "s2v_append_copy",
-                    staging_rows.rows.len() as u64,
-                    staging_rows.wire_bytes(),
-                );
-                session.insert(target, staging_rows.rows).map_err(db)?;
-            }
-            _ => {
-                cluster
-                    .recorder()
-                    .setup(Some(p as u64), NodeRef::Db(node), "s2v_atomic_rename");
-                let _mute = cluster.recorder().mute();
-                let staging_rows = session
-                    .query(&QuerySpec::scan(&tables.staging))
-                    .map_err(db)?;
-                session
-                    .execute(&format!("DELETE FROM {target}"))
-                    .map_err(db)?;
-                session.insert(target, staging_rows.rows).map_err(db)?;
-            }
-        }
+        // Publish staging into target in this same transaction: a
+        // metadata-only move of staging's storage, applied at the commit
+        // epoch (Overwrite also deletes the target's old rows at that
+        // epoch). Both modes charge the cost model one constant-time
+        // rename.
+        cluster
+            .recorder()
+            .setup(Some(p as u64), NodeRef::Db(node), "s2v_atomic_rename");
+        session
+            .publish(&tables.staging, target, mode != SaveMode::Append)
+            .map_err(db)?;
         session
             .execute(&format!(
                 "UPDATE {FINAL_STATUS_TABLE} SET failed_pct = {failed_pct}, \

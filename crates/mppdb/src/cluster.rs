@@ -21,7 +21,7 @@ use crate::session::Session;
 use crate::sql::ast::SelectStmt;
 use crate::storage::store::RowLoc;
 use crate::storage::{NodeTableStore, StorageStats};
-use crate::txn::{LockManager, LockMode, TxnHandle};
+use crate::txn::{LockManager, LockMode, PublishIntent, TxnHandle};
 use crate::udf::ScalarUdf;
 
 /// Cluster-wide configuration.
@@ -141,6 +141,11 @@ pub struct Cluster {
     /// Pending-rebalance state and op log (`rebalance` holds the
     /// migration logic).
     pub(crate) rebalance: crate::rebalance::RebalanceState,
+    /// The pending rebalance's plan, for readers that hold the commit
+    /// lock and so must not take `rebalance.pending` (`run_rebalance`
+    /// holds that while taking the commit lock). Written only under the
+    /// commit lock: set when a rebalance is planned, cleared at its flip.
+    pub(crate) planned: RwLock<Option<Arc<crate::rebalance::RebalancePlan>>>,
 }
 
 impl Cluster {
@@ -191,6 +196,7 @@ impl Cluster {
             faults: FaultInjector::default(),
             mover: crate::storage::mover::MoverState::default(),
             rebalance: crate::rebalance::RebalanceState::default(),
+            planned: RwLock::new(None),
         })
     }
 
@@ -636,6 +642,9 @@ impl Cluster {
         {
             let _guard = self.commit_lock.lock();
             epoch = self.epoch.load(Ordering::Acquire) + 1;
+            for publish in &txn.publishes {
+                self.apply_publish(publish, epoch);
+            }
             // Every registered node — including a rebalance target
             // still staging copies — is stamped, so migrated replicas
             // of pending rows resolve exactly like their sources.
@@ -675,6 +684,27 @@ impl Cluster {
             }
         }
         epoch
+    }
+
+    /// Move `p.staging`'s data into `p.target` on every registered node
+    /// (the node set stamping covers) at `epoch`, metadata only — see
+    /// [`NodeTableStore::absorb_published`]. Caller holds the commit
+    /// lock and applies this before stamping, so the transaction's own
+    /// pending deletes in the moved rows are stamped with the rest.
+    fn apply_publish(&self, p: &PublishIntent, epoch: u64) {
+        self.seed_planned_replicas(&p.staging);
+        for node in self.node_states() {
+            let mut stores = node.stores.write();
+            if !stores.contains_key(&p.target) {
+                continue;
+            }
+            let Some(staged) = stores.get_mut(&p.staging).map(NodeTableStore::take_all) else {
+                continue;
+            };
+            if let Some(target) = stores.get_mut(&p.target) {
+                target.absorb_published(staged, epoch, p.replace);
+            }
+        }
     }
 
     pub(crate) fn abort_txn(&self, txn: TxnHandle) {
@@ -836,6 +866,85 @@ impl Cluster {
         Ok(n)
     }
 
+    /// Validate and lock a publish of `staging` into `target`, and record
+    /// it on the transaction; `commit_txn` applies it. Staging takes the
+    /// exclusive lock, the target the lock `DELETE` (`replace`) or
+    /// `INSERT` takes.
+    pub(crate) fn publish(
+        &self,
+        txn: &mut TxnHandle,
+        staging: &str,
+        target: &str,
+        replace: bool,
+    ) -> DbResult<()> {
+        let from = self.table_def(staging)?;
+        let to = self.table_def(target)?;
+        let mismatch = |what: &str| {
+            Err(DbError::Data(common::Error::SchemaMismatch(format!(
+                "cannot publish {} into {}: {what}",
+                from.name, to.name
+            ))))
+        };
+        if from.name == to.name {
+            return Err(DbError::Execution(format!(
+                "cannot publish table {} into itself",
+                to.name
+            )));
+        }
+        if from.schema.len() != to.schema.len() {
+            return mismatch(&format!(
+                "{} columns vs {}",
+                from.schema.len(),
+                to.schema.len()
+            ));
+        }
+        let types_differ = from
+            .schema
+            .fields()
+            .iter()
+            .zip(to.schema.fields())
+            .any(|(a, b)| a.dtype != b.dtype);
+        if types_differ {
+            return mismatch("column types differ");
+        }
+        if from.is_segmented() != to.is_segmented() || from.seg_columns != to.seg_columns {
+            return mismatch("segmentation differs");
+        }
+        let map = self.segment_map();
+        for (node, state) in self.node_states().iter().enumerate() {
+            if !state.retired.load(Ordering::Acquire)
+                && !self.is_node_up(node)
+                && self.down_node_unrecoverable(&to, &map, node)
+            {
+                return Err(DbError::NodeUnavailable(node));
+            }
+        }
+        self.lock_table(txn, &from.name, LockMode::Exclusive)?;
+        let target_mode = if replace {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
+        };
+        self.lock_table(txn, &to.name, target_mode)?;
+        txn.touched.insert(from.name.clone());
+        txn.touched.insert(to.name.clone());
+        txn.publishes.push(PublishIntent {
+            staging: from.name,
+            target: to.name,
+            replace,
+        });
+        Ok(())
+    }
+
+    /// The shared down-node rule of reads, deletes and publishes: a down
+    /// node's rows have a live copy elsewhere (a buddy for k >= 1, any
+    /// peer for unsegmented tables, the source of a re-copy for a
+    /// rebalance target) unless it is a current-map member holding a
+    /// segmented k=0 table.
+    fn down_node_unrecoverable(&self, def: &TableDef, map: &SegmentMap, node: usize) -> bool {
+        def.is_segmented() && self.config.k_safety == 0 && map.is_member(node)
+    }
+
     /// Scan every logical row of `def` exactly once, visible at `as_of`
     /// (plus the transaction's own pending work), reading each row from
     /// its first *live* holder — the same attribution `delete_where`
@@ -855,11 +964,7 @@ impl Cluster {
                 continue;
             }
             if !self.is_node_up(node) {
-                // Same recoverability rule as `delete_where`: only
-                // segmented k=0 data held by a *current-map member* has
-                // no surviving live copy (a down rebalance target is
-                // re-copied on resume).
-                if def.is_segmented() && self.config.k_safety == 0 && map.is_member(node) {
+                if self.down_node_unrecoverable(def, &map, node) {
                     return Err(DbError::NodeUnavailable(node));
                 }
                 continue;
@@ -910,12 +1015,8 @@ impl Cluster {
             }
             if !self.is_node_up(node) {
                 // A dead replica misses the delete marks now; recovery
-                // rebuilds it from a live buddy (k >= 1) or a live peer
-                // (unsegmented), re-acquiring them; a down rebalance
-                // target re-copies on resume. Only a segmented k=0
-                // current-map member has no surviving copy to recover
-                // from.
-                if def.is_segmented() && self.config.k_safety == 0 && map.is_member(node) {
+                // rebuilds it from its live copy, re-acquiring them.
+                if self.down_node_unrecoverable(&def, &map, node) {
                     return Err(DbError::NodeUnavailable(node));
                 }
                 continue;

@@ -89,14 +89,38 @@ pub struct RebalanceOp {
     pub dur_us: u64,
 }
 
-/// The cluster's pending rebalance: target map, what kind of
-/// membership change it is, and which migrations are already durable.
-pub(crate) struct PendingRebalance {
+/// The membership change a pending rebalance works toward.
+pub(crate) struct RebalancePlan {
     target: Arc<SegmentMap>,
-    /// Node being drained for removal (retired at flip), if any.
-    remove: Option<usize>,
     /// Node added by this rebalance, if any.
     add: Option<usize>,
+}
+
+impl RebalancePlan {
+    /// The migrations one table needs to reach the target map:
+    /// segmented tables move the minimal plan's ranges; unsegmented
+    /// tables full-copy to a freshly added node (every surviving member
+    /// already holds a full replica, so removals copy nothing).
+    fn table_moves(&self, old: &SegmentMap, k: usize, segmented: bool) -> Vec<SegmentMove> {
+        if segmented {
+            return old.migration_plan(&self.target, k);
+        }
+        match self.add {
+            Some(node) => vec![SegmentMove {
+                range: HashRange::full(),
+                node,
+            }],
+            None => Vec::new(),
+        }
+    }
+}
+
+/// The cluster's pending rebalance: its plan, the node being removed,
+/// and which migrations are already durable.
+pub(crate) struct PendingRebalance {
+    plan: Arc<RebalancePlan>,
+    /// Node being drained for removal (retired at flip), if any.
+    remove: Option<usize>,
     /// Durable copies: (table, target node, range start) -> the
     /// target's kill-generation when the copy landed. A generation
     /// mismatch at resume or flip time means the target restarted and
@@ -153,11 +177,31 @@ impl Cluster {
     /// The pending rebalance's target map, if any — what `insert_rows`
     /// dual-writes against.
     pub(crate) fn rebalance_target_map(&self) -> Option<Arc<SegmentMap>> {
-        self.rebalance
-            .pending
-            .lock()
-            .as_ref()
-            .map(|p| Arc::clone(&p.target))
+        self.planned.read().as_ref().map(|p| Arc::clone(&p.target))
+    }
+
+    /// Make every planned new holder's copy of `table` exact before a
+    /// publish moves it: rows written before the plan never reached the
+    /// new holders, because rebalance skips temp tables and dual writes
+    /// only start at the plan. Each planned range is re-copied from its
+    /// current holder like a migration, so the node-local publish then
+    /// lands the same rows on old and new holders alike, whichever
+    /// order the target table's own migration runs in. No-op without a
+    /// pending rebalance. Caller holds the commit lock.
+    pub(crate) fn seed_planned_replicas(&self, table: &str) {
+        let Some(plan) = self.planned.read().clone() else {
+            return;
+        };
+        let Ok(def) = self.table_def(table) else {
+            return;
+        };
+        let old = self.segment_map();
+        let k = self.config().k_safety;
+        for mv in plan.table_moves(&old, k, def.is_segmented()) {
+            // A piece with no live source is lost to its readers
+            // anyway; publish its holders' rows as they are.
+            let _ = self.copy_range_locked(&old, &def.name, def.is_segmented(), &mv, k);
+        }
     }
 
     /// Add a node to the cluster and rebalance onto it online. Returns
@@ -181,6 +225,11 @@ impl Cluster {
             let _guard = self.commit_lock.lock();
             node = self.register_node();
             let target = Arc::new(self.segment_map().with_node_added(node));
+            let plan = Arc::new(RebalancePlan {
+                target: Arc::clone(&target),
+                add: Some(node),
+            });
+            *self.planned.write() = Some(Arc::clone(&plan));
             self.rebalance.log(RebalanceOp {
                 seq: 0,
                 op: "plan",
@@ -194,9 +243,8 @@ impl Cluster {
                 dur_us: 0,
             });
             *pending = Some(PendingRebalance {
-                target,
+                plan,
                 remove: None,
-                add: Some(node),
                 done: HashMap::new(),
             });
         }
@@ -235,6 +283,11 @@ impl Cluster {
             }
             let _guard = self.commit_lock.lock();
             let target = Arc::new(map.with_node_removed(node));
+            let plan = Arc::new(RebalancePlan {
+                target: Arc::clone(&target),
+                add: None,
+            });
+            *self.planned.write() = Some(Arc::clone(&plan));
             self.rebalance.log(RebalanceOp {
                 seq: 0,
                 op: "plan",
@@ -248,9 +301,8 @@ impl Cluster {
                 dur_us: 0,
             });
             *pending = Some(PendingRebalance {
-                target,
+                plan,
                 remove: Some(node),
-                add: None,
                 done: HashMap::new(),
             });
         }
@@ -273,7 +325,7 @@ impl Cluster {
             return Ok(());
         };
         let old = self.segment_map();
-        let target = Arc::clone(&pending.target);
+        let target = Arc::clone(&pending.plan.target);
         let k = self.config().k_safety;
         let was_resumed = !pending.done.is_empty();
         if was_resumed {
@@ -281,16 +333,12 @@ impl Cluster {
         }
         let mut report = RebalanceReport {
             map_version: target.version(),
-            added: pending.add,
+            added: pending.plan.add,
             removed: pending.remove,
             ..RebalanceReport::default()
         };
 
-        // The deterministic migration list: segmented tables move the
-        // minimal plan's ranges; unsegmented tables full-copy to a
-        // freshly added node (every surviving member already holds a
-        // full replica, so removals copy nothing).
-        let moves = old.migration_plan(&target, k);
+        // The deterministic migration list (`RebalancePlan::table_moves`).
         let catalog_tables: Vec<(String, bool)> = {
             let catalog = self.catalog.read();
             catalog
@@ -306,18 +354,7 @@ impl Cluster {
                 .collect()
         };
         for (table, segmented) in &catalog_tables {
-            let table_moves: Vec<SegmentMove> = if *segmented {
-                moves.clone()
-            } else {
-                match pending.add {
-                    Some(node) => vec![SegmentMove {
-                        range: HashRange::full(),
-                        node,
-                    }],
-                    None => Vec::new(),
-                }
-            };
-            for mv in table_moves {
+            for mv in pending.plan.table_moves(&old, k, *segmented) {
                 let key = (table.clone(), mv.node, mv.range.start);
                 let gen_now = self.node_generation(mv.node);
                 if pending.done.get(&key) == Some(&gen_now) {
@@ -412,6 +449,7 @@ impl Cluster {
             }
             flip_epoch = self.epoch.load(Ordering::Acquire) + 1;
             self.push_map_version(flip_epoch, Arc::clone(&target));
+            *self.planned.write() = None;
             self.epoch.store(flip_epoch, Ordering::Release);
         }
         report.flip_epoch = flip_epoch;
@@ -456,6 +494,18 @@ impl Cluster {
         k: usize,
     ) -> DbResult<usize> {
         let _guard = self.commit_lock.lock();
+        self.copy_range_locked(old, table, segmented, mv, k)
+    }
+
+    /// [`Cluster::copy_migration`]'s body; caller holds the commit lock.
+    fn copy_range_locked(
+        &self,
+        old: &SegmentMap,
+        table: &str,
+        segmented: bool,
+        mv: &SegmentMove,
+        k: usize,
+    ) -> DbResult<usize> {
         let target_state = self
             .node_state(mv.node)
             .ok_or(DbError::NodeUnavailable(mv.node))?;
@@ -675,6 +725,86 @@ mod tests {
             stats[node].ros_rows, 50,
             "new node must hold the full unsegmented replica"
         );
+    }
+
+    /// Sorted ids of `table` at `epoch`, read through a
+    /// session on `node` (unsegmented tables serve the local replica).
+    fn ids_via(c: &Arc<Cluster>, node: usize, table: &str, epoch: u64) -> Vec<i64> {
+        let mut s = c.connect(node).unwrap();
+        let spec = crate::query::QuerySpec::scan(table).at_epoch(epoch);
+        let mut ids: Vec<i64> = s
+            .query(&spec)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r.get(0).as_i64().unwrap())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// A publish while a rebalance is pending must reach the planned new
+    /// holders, including staging rows written before the plan: temp
+    /// tables are never migrated and dual writes start at the plan.
+    #[test]
+    fn publish_during_a_pending_rebalance_reaches_the_new_holders() {
+        let by_id = Segmentation::ByHash(vec!["id".into()]);
+        for (k, seg, remove, replace) in [
+            (0, by_id.clone(), false, true),
+            (0, by_id.clone(), false, false),
+            (1, by_id.clone(), false, false),
+            (0, by_id.clone(), true, true),
+            (1, by_id, true, false),
+            (0, Segmentation::Unsegmented, false, false),
+        ] {
+            let case = format!("k={k} {seg:?} remove={remove} replace={replace}");
+            let c = Cluster::new(ClusterConfig {
+                k_safety: k,
+                ..ClusterConfig::default()
+            });
+            let staging = TableDef::new("s", schema(), seg.clone()).unwrap().temp();
+            c.create_table(TableDef::new("t", schema(), seg).unwrap())
+                .unwrap();
+            c.create_table(staging).unwrap();
+            for (table, ids) in [("t", 0..300), ("s", 1000..1300)] {
+                let mut txn = c.begin_txn();
+                let rows: Vec<Row> = ids.map(|i| row![i as i64, 0.0f64]).collect();
+                c.insert_rows(&mut txn, 0, None, table, rows, false)
+                    .unwrap();
+                c.commit_txn(txn);
+            }
+            // The first migration of `t` lands, then the crash leaves
+            // the plan pending.
+            c.faults().inject_once(FaultSite::Rebalance);
+            let planned = if remove {
+                c.remove_node(2)
+            } else {
+                c.add_node().map(|_| ())
+            };
+            assert!(planned.is_err() && c.rebalance_in_progress(), "{case}");
+            let pinned = c.current_epoch();
+            let mut txn = c.begin_txn();
+            c.publish(&mut txn, "s", "t", replace).unwrap();
+            c.commit_txn(txn);
+            c.run_rebalance().unwrap();
+
+            let mut expected: Vec<i64> = (1000..1300).collect();
+            if !replace {
+                expected.splice(0..0, 0..300);
+            }
+            for node in c.up_nodes() {
+                assert_eq!(
+                    ids_via(&c, node, "t", c.current_epoch()),
+                    expected,
+                    "{case}: read via node {node}"
+                );
+                assert_eq!(
+                    ids_via(&c, node, "t", pinned),
+                    (0..300).collect::<Vec<i64>>(),
+                    "{case}: pinned read via node {node}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -197,6 +197,20 @@ impl Session {
         })
     }
 
+    /// Publish `staging` into `target` when this transaction commits —
+    /// the staging-table commit of an S2V save. It moves storage, not
+    /// rows: every staging ROS container and WOS row moves into the
+    /// target on each node, restamped with the commit epoch, and with
+    /// `replace` (Overwrite) the target's committed rows are deleted at
+    /// that epoch. Nothing is decoded or re-encoded, and readers pinned
+    /// before the commit still see the old target. Rollback leaves both
+    /// tables untouched. The tables must match in column types and
+    /// segmentation and be distinct, and with k-safety 0 every member
+    /// node of a segmented table must be up.
+    pub fn publish(&mut self, staging: &str, target: &str, replace: bool) -> DbResult<()> {
+        self.with_txn(|cluster, txn, _node, _tag| cluster.publish(txn, staging, target, replace))
+    }
+
     /// Bulk load (the COPY utility).
     pub fn copy(
         &mut self,

@@ -573,6 +573,51 @@ impl NodeTableStore {
         self.ros.retain(|c| !c.hashes.is_empty());
     }
 
+    /// Detach everything the store holds, leaving it empty — the staging
+    /// side of a publish.
+    pub(crate) fn take_all(&mut self) -> NodeTableStore {
+        std::mem::replace(self, NodeTableStore::new(self.column_count))
+    }
+
+    /// The target side of a publish at `epoch`, metadata only. Every
+    /// ROS container of `staging` moves in whole under a fresh id,
+    /// keeping its encoded columns and [`ContainerStats`]; WOS rows move
+    /// as they are. Moved rows are restamped `Committed(epoch)` and keep
+    /// their delete states, so a row staging had already deleted stays
+    /// invisible. With `replace`, every committed, not-yet-deleted row
+    /// already here is deleted at `epoch` — a stamp on the delete
+    /// vectors, nothing decoded. Readers pinned before `epoch` therefore
+    /// still see the old contents and none of the new.
+    pub(crate) fn absorb_published(&mut self, staging: NodeTableStore, epoch: u64, replace: bool) {
+        debug_assert_eq!(staging.column_count, self.column_count);
+        if replace {
+            let retire = |commit: CommitState, delete: &mut DeleteState| {
+                if matches!(commit, CommitState::Committed(_)) && *delete == DeleteState::NotDeleted
+                {
+                    *delete = DeleteState::Committed(epoch);
+                }
+            };
+            for r in &mut self.wos {
+                retire(r.commit, &mut r.delete);
+            }
+            for c in &mut self.ros {
+                for (commit, delete) in c.commits.iter().zip(c.deletes.iter_mut()) {
+                    retire(*commit, delete);
+                }
+            }
+        }
+        for mut c in staging.ros {
+            c.id = self.next_container_id;
+            self.next_container_id += 1;
+            c.commits.fill(CommitState::Committed(epoch));
+            self.ros.push(c);
+        }
+        self.wos.extend(staging.wos.into_iter().map(|r| WosRow {
+            commit: CommitState::Committed(epoch),
+            ..r
+        }));
+    }
+
     /// Scan rows visible at `as_of` (plus `my_txn`'s own pending work),
     /// optionally restricted to a hash range. Rows are returned in
     /// stable storage order: ROS containers by id, then the WOS.

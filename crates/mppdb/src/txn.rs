@@ -38,6 +38,8 @@ pub struct TxnHandle {
     pub touched: HashSet<String>,
     /// Tables this transaction holds locks on.
     pub locked: HashSet<String>,
+    /// Publishes to apply at commit, in call order; abort drops them.
+    pub publishes: Vec<PublishIntent>,
 }
 
 impl TxnHandle {
@@ -46,8 +48,21 @@ impl TxnHandle {
             id,
             touched: HashSet::new(),
             locked: HashSet::new(),
+            publishes: Vec::new(),
         }
     }
+}
+
+/// A metadata-only publish of `staging` into `target`, recorded by
+/// `Session::publish` and applied under the commit lock at the commit
+/// epoch (see `Cluster::commit_txn`).
+#[derive(Debug)]
+pub struct PublishIntent {
+    pub staging: String,
+    pub target: String,
+    /// Overwrite: the target's committed rows are deleted at the
+    /// commit epoch. Otherwise staging is appended.
+    pub replace: bool,
 }
 
 #[derive(Debug, Default)]

@@ -558,3 +558,246 @@ fn ros_encodings_compress_low_cardinality_columns() {
         "expected >2x compression: raw {raw}, encoded {encoded}"
     );
 }
+
+// ----- metadata-only publish (the S2V final commit) -------------------
+
+fn id_rows(ids: std::ops::Range<i64>) -> Vec<common::Row> {
+    ids.map(|i| row![i, i as f64]).collect()
+}
+
+/// A target and a same-shaped staging table, each holding ROS
+/// containers; staging also keeps a tail of WOS rows.
+fn publish_pair(
+    c: &Arc<Cluster>,
+    target_ids: std::ops::Range<i64>,
+    staging_ids: std::ops::Range<i64>,
+    staging_wos_ids: std::ops::Range<i64>,
+) -> mppdb::Session {
+    let mut s = c.connect(0).unwrap();
+    for t in ["pub_target", "pub_staging"] {
+        s.execute(&format!(
+            "CREATE TABLE {t} (id INT, x FLOAT) SEGMENTED BY HASH(id) ALL NODES"
+        ))
+        .unwrap();
+    }
+    s.insert("pub_target", id_rows(target_ids)).unwrap();
+    s.insert("pub_staging", id_rows(staging_ids)).unwrap();
+    c.moveout_all();
+    s.insert("pub_staging", id_rows(staging_wos_ids)).unwrap();
+    s
+}
+
+fn sorted_ids(s: &mut mppdb::Session, table: &str, epoch: Option<u64>) -> Vec<i64> {
+    let mut spec = QuerySpec::scan(table);
+    if let Some(e) = epoch {
+        spec = spec.at_epoch(e);
+    }
+    let mut ids: Vec<i64> = s
+        .query(&spec)
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r.get(0).as_i64().unwrap())
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Everything a reader or the storage layer can observe of a table:
+/// per-node storage statistics (encoded bytes included), per-container
+/// zone maps, and the rows in scan order.
+fn table_image(c: &Arc<Cluster>, table: &str) -> String {
+    let mut s = c.connect(0).unwrap();
+    let containers: Vec<common::Row> = s
+        .query(&QuerySpec::scan("dc_column_stats"))
+        .unwrap()
+        .rows
+        .into_iter()
+        .filter(|r| r.get(1).as_str().ok() == Some(table))
+        .collect();
+    let rows = s.query(&QuerySpec::scan(table)).unwrap().rows;
+    format!(
+        "{:?}\n{containers:?}\n{rows:?}",
+        c.table_stats(table).unwrap()
+    )
+}
+
+#[test]
+fn publish_abort_leaves_both_tables_intact_and_a_retry_publishes_once() {
+    let c = cluster();
+    let mut s = publish_pair(&c, 0..300, 1000..1400, 1400..1450);
+    let before = (
+        table_image(&c, "pub_target"),
+        table_image(&c, "pub_staging"),
+    );
+
+    // Rollback discards the recorded publish.
+    s.begin().unwrap();
+    s.publish("pub_staging", "pub_target", true).unwrap();
+    s.rollback().unwrap();
+    assert_eq!(
+        (
+            table_image(&c, "pub_target"),
+            table_image(&c, "pub_staging")
+        ),
+        before
+    );
+    // So does a session that dies with the transaction open.
+    {
+        let mut dying = c.connect(1).unwrap();
+        dying.begin().unwrap();
+        dying.publish("pub_staging", "pub_target", false).unwrap();
+    }
+    assert_eq!(
+        (
+            table_image(&c, "pub_target"),
+            table_image(&c, "pub_staging")
+        ),
+        before
+    );
+
+    // The retry lands staging exactly once, at its commit epoch.
+    let old_epoch = c.current_epoch();
+    s.begin().unwrap();
+    s.publish("pub_staging", "pub_target", true).unwrap();
+    s.commit().unwrap();
+    let published: Vec<i64> = (1000..1450).collect();
+    assert_eq!(sorted_ids(&mut s, "pub_target", None), published);
+    assert!(sorted_ids(&mut s, "pub_staging", None).is_empty());
+    assert_eq!(
+        sorted_ids(&mut s, "pub_target", Some(old_epoch)),
+        (0..300).collect::<Vec<i64>>(),
+        "readers pinned before the publish keep the old target"
+    );
+    // Replaying the publish finds staging empty and changes nothing.
+    s.publish("pub_staging", "pub_target", false).unwrap();
+    assert_eq!(sorted_ids(&mut s, "pub_target", None), published);
+}
+
+#[test]
+fn publish_rejects_mismatched_tables_with_typed_errors() {
+    let c = cluster();
+    let mut s = c.connect(0).unwrap();
+    for ddl in [
+        "CREATE TABLE pv_target (id INT, x FLOAT) SEGMENTED BY HASH(id) ALL NODES",
+        "CREATE TABLE pv_staging (id INT, x FLOAT) SEGMENTED BY HASH(id) ALL NODES",
+        "CREATE TABLE pv_narrow (id INT) SEGMENTED BY HASH(id) ALL NODES",
+        "CREATE TABLE pv_typed (id INT, x VARCHAR) SEGMENTED BY HASH(id) ALL NODES",
+        "CREATE TABLE pv_by_x (id INT, x FLOAT) SEGMENTED BY HASH(x) ALL NODES",
+        "CREATE TABLE pv_unseg (id INT, x FLOAT) UNSEGMENTED ALL NODES",
+    ] {
+        s.execute(ddl).unwrap();
+    }
+    s.insert("pv_target", id_rows(0..50)).unwrap();
+    s.insert("pv_staging", id_rows(100..150)).unwrap();
+
+    for staging in ["pv_narrow", "pv_typed", "pv_by_x", "pv_unseg"] {
+        for replace in [true, false] {
+            let err = s.publish(staging, "pv_target", replace).unwrap_err();
+            assert!(
+                matches!(err, DbError::Data(common::Error::SchemaMismatch(_))),
+                "{staging}: {err}"
+            );
+        }
+    }
+    let err = s.publish("pv_target", "pv_target", true).unwrap_err();
+    assert!(matches!(err, DbError::Execution(_)), "{err}");
+    let err = s.publish("pv_missing", "pv_target", true).unwrap_err();
+    assert!(matches!(err, DbError::UnknownTable(_)), "{err}");
+
+    // k=0: a down member holds the only copy of its segment.
+    c.kill_node(2);
+    assert_eq!(
+        s.publish("pv_staging", "pv_target", false),
+        Err(DbError::NodeUnavailable(2))
+    );
+    c.restore_node(2);
+
+    // Nothing moved, and the session is still good for a valid publish.
+    assert_eq!(sorted_ids(&mut s, "pv_target", None).len(), 50);
+    s.publish("pv_staging", "pv_target", false).unwrap();
+    assert_eq!(sorted_ids(&mut s, "pv_target", None).len(), 100);
+}
+
+#[test]
+fn publish_on_a_k_safe_cluster_reads_identically_from_every_replica() {
+    let c = Cluster::new(ClusterConfig {
+        k_safety: 1,
+        ..ClusterConfig::default()
+    });
+    let mut s = publish_pair(&c, 0..200, 500..900, 900..950);
+    let pinned = c.current_epoch();
+    s.publish("pub_staging", "pub_target", true).unwrap();
+    drop(s);
+    let old: Vec<i64> = (0..200).collect();
+    let new: Vec<i64> = (500..950).collect();
+
+    // Downing each node in turn forces its segments onto their other
+    // replica; a second pass reads the replicas recovery rebuilt.
+    for pass in ["after the publish", "after kill and restore"] {
+        for victim in 0..4 {
+            c.kill_node(victim);
+            let mut r = c.connect((victim + 1) % 4).unwrap();
+            assert_eq!(
+                sorted_ids(&mut r, "pub_target", None),
+                new,
+                "{pass}: node {victim} down"
+            );
+            assert_eq!(
+                sorted_ids(&mut r, "pub_target", Some(pinned)),
+                old,
+                "{pass}: node {victim} down, pinned read"
+            );
+            drop(r);
+            c.restore_node(victim);
+        }
+    }
+}
+
+#[test]
+fn append_publish_keeps_the_targets_zone_map_skipping() {
+    let c = cluster();
+    let mut s = c.connect(0).unwrap();
+    for t in ["zm_target", "zm_staging"] {
+        s.execute(&format!(
+            "CREATE TABLE {t} (id INT, x FLOAT) SEGMENTED BY HASH(id) ALL NODES"
+        ))
+        .unwrap();
+    }
+    s.insert("zm_target", id_rows(0..2_000)).unwrap();
+    c.moveout_all();
+    s.insert("zm_staging", id_rows(10_000..12_000)).unwrap();
+    c.moveout_all();
+    let containers = |c: &Arc<Cluster>| -> usize {
+        c.table_stats("zm_target")
+            .unwrap()
+            .iter()
+            .map(|st| st.ros_containers)
+            .sum()
+    };
+    let before_publish = containers(&c);
+    s.publish("zm_staging", "zm_target", false).unwrap();
+    assert_eq!(
+        containers(&c),
+        2 * before_publish,
+        "staging containers move in whole"
+    );
+
+    // One predicate rules out the target's own containers, the other
+    // the moved ones; both must be skipped on zone maps alone.
+    for pred in [
+        common::Expr::col("id").gt_eq(common::Expr::lit(11_000i64)),
+        common::Expr::col("id").lt(common::Expr::lit(1_000i64)),
+    ] {
+        let spec = QuerySpec::scan("zm_target").filter(pred).count();
+        let before = obs::global().snapshot();
+        let skipped = s.query(&spec).unwrap();
+        let delta = obs::global().snapshot().counters_since(&before);
+        assert_eq!(skipped.count, 1_000);
+        assert_eq!(s.query(&spec.without_skipping()).unwrap().count, 1_000);
+        assert!(
+            delta.get("scan.containers_skipped").copied().unwrap_or(0) > 0,
+            "containers keep their zone maps across the publish: {delta:?}"
+        );
+    }
+}

@@ -89,20 +89,6 @@ pub struct Event {
 #[derive(Debug, Default)]
 pub struct Recorder {
     events: Mutex<Vec<Event>>,
-    muted: std::sync::atomic::AtomicBool,
-}
-
-/// RAII guard muting a recorder; recording resumes on drop.
-pub struct MuteGuard<'a> {
-    recorder: &'a Recorder,
-}
-
-impl Drop for MuteGuard<'_> {
-    fn drop(&mut self) {
-        self.recorder
-            .muted
-            .store(false, std::sync::atomic::Ordering::Release);
-    }
 }
 
 impl Recorder {
@@ -111,19 +97,7 @@ impl Recorder {
     }
 
     pub fn record(&self, task: Option<u64>, kind: EventKind) {
-        if self.muted.load(std::sync::atomic::Ordering::Acquire) {
-            return;
-        }
         self.events.lock().push(Event { task, kind });
-    }
-
-    /// Suppress recording until the returned guard drops. Used where a
-    /// substrate operation physically moves data that the modeled
-    /// system would not (e.g. an atomic table rename realized as a row
-    /// copy).
-    pub fn mute(&self) -> MuteGuard<'_> {
-        self.muted.store(true, std::sync::atomic::Ordering::Release);
-        MuteGuard { recorder: self }
     }
 
     pub fn transfer(

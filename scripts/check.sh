@@ -25,8 +25,11 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "== cargo build --workspace --all-features"
 cargo build --workspace --all-features -q
 
-echo "== cargo test -q"
-cargo test -q
+# Every crate's tests, not just the root package's: the mppdb, connector,
+# fabriclint and bench suites (including the ablation gates) live in
+# the member crates.
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
 
 # The seeded chaos schedules are the fault-tolerance gate; run them
 # explicitly so a filtered test run cannot silently skip them.
@@ -65,17 +68,20 @@ cargo run -q -p fabriclint -- --lock-graph ${witness_args[@]+"${witness_args[@]}
 
 # The skipping/pushdown ablation regenerates BENCH_pushdown.json and
 # asserts every cell returns the identical aggregate; its ≥5x scan and
-# ≥10x wire reduction gates also run as bench lib tests above.
+# ≥10x wire reduction gates run as bench lib tests in the workspace
+# test step above.
 echo "== ablation_pushdown"
 cargo run -q -p bench --bin ablation_pushdown > /dev/null
 
 # The streaming-ingest ablation regenerates BENCH_stream.json; its
-# mover-on-strictly-faster gate also runs as a bench lib test above.
+# mover-on-strictly-faster gate runs as a bench lib test in the
+# workspace test step above.
 echo "== ablation_stream"
 cargo run -q -p bench --bin ablation_stream > /dev/null
 
 # The elastic-cluster ablation regenerates BENCH_rebalance.json; its
-# zero-failures / bounded-P99 gate also runs as a bench lib test above.
+# zero-failures / bounded-P99 gate runs as a bench lib test in the
+# workspace test step above.
 echo "== ablation_rebalance"
 cargo run -q -p bench --bin ablation_rebalance > /dev/null
 

@@ -116,3 +116,81 @@ fn pinned_epoch_is_stable_across_the_whole_load() {
         .unwrap();
     assert_eq!(fresh.count().unwrap(), 100);
 }
+
+/// `(count, sum of ids, sum of values)` — a row checksum that SQL can
+/// compute too.
+fn digest<'a>(rows: impl IntoIterator<Item = &'a Row>) -> (i64, i64, i64) {
+    rows.into_iter().fold((0, 0, 0), |(n, ids, vals), r| {
+        (
+            n + 1,
+            ids + r.get(0).as_i64().unwrap(),
+            vals + r.get(1).as_i64().unwrap(),
+        )
+    })
+}
+
+fn sql_digest(s: &mut Session, epoch: u64) -> (i64, i64, i64) {
+    let r = s
+        .execute(&format!(
+            "AT EPOCH {epoch} SELECT COUNT(*), SUM(id), SUM(v) FROM saved"
+        ))
+        .unwrap()
+        .rows()
+        .unwrap();
+    let get = |i: usize| r.rows[0].get(i).as_i64().unwrap();
+    (get(0), get(1), get(2))
+}
+
+#[test]
+fn relations_pinned_before_a_save_keep_the_old_snapshot() {
+    let schema = Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)]);
+    let rows = |ids: std::ops::Range<i64>| -> Vec<Row> { ids.map(|i| row![i, i % 7]).collect() };
+    for mode in [SaveMode::Overwrite, SaveMode::Append] {
+        let db = Cluster::new(ClusterConfig::default());
+        let ctx = SparkContext::new(SparkConf::default());
+        DefaultSource::register(&ctx, db.clone());
+        let save = |data: Vec<Row>, mode: SaveMode| {
+            ctx.create_dataframe(data, schema.clone(), 4)
+                .unwrap()
+                .write()
+                .format(DEFAULT_SOURCE)
+                .option("table", "saved")
+                .mode(mode)
+                .save()
+                .unwrap();
+        };
+        let open = || {
+            ctx.read()
+                .format(DEFAULT_SOURCE)
+                .option("table", "saved")
+                .option("numPartitions", 4)
+                .load()
+                .unwrap()
+        };
+        save(rows(0..300), SaveMode::Overwrite);
+        let old_epoch = db.current_epoch();
+        let pinned = open();
+
+        save(rows(1000..1200), mode);
+        let new_epoch = db.current_epoch();
+        let fresh = open();
+
+        let old = digest(&rows(0..300));
+        let new = match mode {
+            SaveMode::Append => digest(
+                &rows(0..300)
+                    .into_iter()
+                    .chain(rows(1000..1200))
+                    .collect::<Vec<_>>(),
+            ),
+            _ => digest(&rows(1000..1200)),
+        };
+        assert_eq!(pinned.count().unwrap(), old.0 as u64, "{mode:?}");
+        assert_eq!(digest(&pinned.collect().unwrap()), old, "{mode:?}: pinned");
+        assert_eq!(fresh.count().unwrap(), new.0 as u64, "{mode:?}");
+        assert_eq!(digest(&fresh.collect().unwrap()), new, "{mode:?}: fresh");
+        let mut s = db.connect(1).unwrap();
+        assert_eq!(sql_digest(&mut s, old_epoch), old, "{mode:?}: AT EPOCH old");
+        assert_eq!(sql_digest(&mut s, new_epoch), new, "{mode:?}: AT EPOCH new");
+    }
+}
