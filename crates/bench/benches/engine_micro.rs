@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the substrates: segmentation hashing,
 //! storage scans, the SQL layer, and the max-min allocator.
 
+use common::agg::{AggCall, AggFunc, AggRequest};
 use common::hash::segmentation_hash;
 use common::{row, Value};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -52,6 +53,33 @@ fn bench_scan(c: &mut Criterion) {
                 .unwrap()
                 .rows()
                 .unwrap();
+            assert_eq!(r.rows.len(), 100);
+        })
+    });
+
+    // The same filtered GROUP BY through SQL and through `QuerySpec`:
+    // SQL lowers onto the aggregate scan, so the pair should converge.
+    c.bench_function("sql_vs_queryspec/sql", |b| {
+        let mut s = cluster.connect(2).unwrap();
+        b.iter(|| {
+            let r = s
+                .execute("SELECT name, COUNT(*), SUM(x) FROM t WHERE id < 5000 GROUP BY name")
+                .unwrap()
+                .rows()
+                .unwrap();
+            assert_eq!(r.rows.len(), 100);
+        })
+    });
+    c.bench_function("sql_vs_queryspec/queryspec", |b| {
+        let mut s = cluster.connect(2).unwrap();
+        let spec = QuerySpec::scan("t")
+            .filter(common::Expr::col("id").lt(common::Expr::lit(5000i64)))
+            .aggregate(AggRequest::new(
+                &["name"],
+                vec![AggCall::count_star(), AggCall::new(AggFunc::Sum, "x")],
+            ));
+        b.iter(|| {
+            let r = s.query(&spec).unwrap();
             assert_eq!(r.rows.len(), 100);
         })
     });

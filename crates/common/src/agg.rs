@@ -1,18 +1,25 @@
-//! Shared aggregate vocabulary and semantics.
+//! Shared aggregate vocabulary and semantics: the one aggregate
+//! implementation.
 //!
-//! Both engines evaluate the same five SQL aggregates — COUNT, SUM,
-//! MIN, MAX, AVG — in two places: node-side in `mppdb` (partial
-//! aggregates pushed below the connector wire) and driver-side in
-//! `sparklet` (the materialize-then-aggregate fallback, and the merge
-//! of per-piece partials). Keeping the accumulator here guarantees the
-//! pushed-down and the materialized plans compute byte-identical
-//! answers, which the differential tests pin.
+//! Every engine path evaluates the five SQL aggregates — COUNT, SUM,
+//! MIN, MAX, AVG — through the accumulators here: node-side in `mppdb`
+//! (the scan's partial aggregates, which SQL GROUP BYs on base tables
+//! lower onto), the SQL row path (joins, views, expression keys), and
+//! driver-side in `sparklet` (the materialize-then-aggregate fallback,
+//! and the merge of per-piece partials). Keeping the accumulator here
+//! guarantees the pushed-down and the materialized plans compute
+//! byte-identical answers, which the differential tests pin.
 //!
-//! Semantics follow the SQL layer's `compute_aggregate`: aggregates
-//! ignore NULL inputs (except `COUNT(*)`), `SUM` stays `Int64` while
-//! every input is an integer and widens to `Float64` otherwise, `AVG`
-//! is always `Float64`, and any aggregate over zero non-null inputs is
-//! NULL (`COUNT` is 0).
+//! Semantics: aggregates ignore NULL inputs (except `COUNT(*)`), `SUM`
+//! stays `Int64` while every input is an integer and widens to
+//! `Float64` otherwise, `AVG` is always `Float64`, and any aggregate
+//! over zero non-null inputs is NULL (`COUNT` is 0). Integer `SUM`
+//! (and count) arithmetic is checked: a running total that leaves the
+//! `BIGINT` range fails with a "numeric overflow" [`Error::Eval`] in
+//! every build profile, whether it overflows while folding rows or
+//! while merging partials.
+
+use std::collections::HashMap;
 
 use crate::error::{Error, Result};
 use crate::row::Row;
@@ -38,6 +45,19 @@ impl AggFunc {
             AggFunc::Max => "max",
             AggFunc::Avg => "avg",
         }
+    }
+
+    /// The aggregate a SQL function name denotes (case-insensitive).
+    pub fn from_sql_name(name: &str) -> Option<AggFunc> {
+        [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+        ]
+        .into_iter()
+        .find(|f| f.sql_name().eq_ignore_ascii_case(name))
     }
 
     /// How many values this aggregate's partial state occupies on the
@@ -206,16 +226,8 @@ impl Acc {
             return Ok(());
         }
         match self {
-            Acc::Count(n) => *n += 1,
-            Acc::Sum(state) => {
-                let next = match (state.take(), v) {
-                    (None, Value::Int64(i)) => Value::Int64(*i),
-                    (None, _) => Value::Float64(v.as_f64()?),
-                    (Some(Value::Int64(a)), Value::Int64(b)) => Value::Int64(a.wrapping_add(*b)),
-                    (Some(acc), _) => Value::Float64(acc.as_f64()? + v.as_f64()?),
-                };
-                *state = Some(next);
-            }
+            Acc::Count(n) => *n = checked_count(*n, 1)?,
+            Acc::Sum(state) => *state = Some(sum_values(state.as_ref(), v)?),
             Acc::Min(best) => {
                 let take = match best.as_ref() {
                     None => true,
@@ -236,7 +248,7 @@ impl Acc {
             }
             Acc::Avg { sum, count } => {
                 *sum += v.as_f64()?;
-                *count += 1;
+                *count = checked_count(*count, 1)?;
             }
         }
         Ok(())
@@ -249,7 +261,22 @@ impl Acc {
             return Ok(());
         }
         match self {
-            Acc::Count(c) => *c += n as i64,
+            Acc::Count(c) => *c = checked_count(*c, count_of(n)?)?,
+            // `n` equal integers fold as one wide multiply-add: the total
+            // of a run of same-sign addends leaves the BIGINT range
+            // exactly when some one-by-one prefix would.
+            Acc::Sum(state @ (None | Some(Value::Int64(_)))) if matches!(v, Value::Int64(_)) => {
+                let base = match state {
+                    Some(Value::Int64(a)) => *a as i128,
+                    _ => 0,
+                };
+                let total = (v.as_i64()? as i128)
+                    .checked_mul(n as i128)
+                    .and_then(|run| run.checked_add(base))
+                    .and_then(|t| i64::try_from(t).ok())
+                    .ok_or_else(sum_overflow)?;
+                *state = Some(Value::Int64(total));
+            }
             Acc::Sum(_) => {
                 for _ in 0..n {
                     self.update(v)?;
@@ -258,7 +285,7 @@ impl Acc {
             Acc::Min(_) | Acc::Max(_) => self.update(v)?,
             Acc::Avg { sum, count } => {
                 *sum += v.as_f64()? * n as f64;
-                *count += n as i64;
+                *count = checked_count(*count, count_of(n)?)?;
             }
         }
         Ok(())
@@ -267,18 +294,10 @@ impl Acc {
     /// Merge another partial state for the same call into this one.
     pub fn merge(&mut self, other: &Acc) -> Result<()> {
         match (self, other) {
-            (Acc::Count(a), Acc::Count(b)) => *a += b,
+            (Acc::Count(a), Acc::Count(b)) => *a = checked_count(*a, *b)?,
             (Acc::Sum(a), Acc::Sum(b)) => {
                 if let Some(v) = b {
-                    let next = match a.take() {
-                        None => v.clone(),
-                        Some(Value::Int64(x)) => match v {
-                            Value::Int64(y) => Value::Int64(x.wrapping_add(*y)),
-                            _ => Value::Float64(x as f64 + v.as_f64()?),
-                        },
-                        Some(acc) => Value::Float64(acc.as_f64()? + v.as_f64()?),
-                    };
-                    *a = Some(next);
+                    *a = Some(sum_values(a.as_ref(), v)?);
                 }
             }
             (Acc::Min(a), Acc::Min(b)) => {
@@ -305,7 +324,7 @@ impl Acc {
             }
             (Acc::Avg { sum: a, count: ac }, Acc::Avg { sum: b, count: bc }) => {
                 *a += b;
-                *ac += bc;
+                *ac = checked_count(*ac, *bc)?;
             }
             _ => return Err(Error::Eval("mismatched aggregate partials".into())),
         }
@@ -363,6 +382,36 @@ impl Acc {
     }
 }
 
+/// The error an integer SUM raises when its total leaves BIGINT.
+fn sum_overflow() -> Error {
+    Error::Eval("numeric overflow: SUM exceeds the BIGINT range".into())
+}
+
+fn count_overflow() -> Error {
+    Error::Eval("numeric overflow: COUNT exceeds the BIGINT range".into())
+}
+
+/// `acc + v` under SUM's typing: integers add checked, anything else
+/// widens to `Float64`. A non-numeric input is a type error.
+fn sum_values(acc: Option<&Value>, v: &Value) -> Result<Value> {
+    Ok(match (acc, v) {
+        (None, Value::Int64(i)) => Value::Int64(*i),
+        (None, _) => Value::Float64(v.as_f64()?),
+        (Some(Value::Int64(a)), Value::Int64(b)) => {
+            Value::Int64(a.checked_add(*b).ok_or_else(sum_overflow)?)
+        }
+        (Some(a), _) => Value::Float64(a.as_f64()? + v.as_f64()?),
+    })
+}
+
+fn checked_count(a: i64, b: i64) -> Result<i64> {
+    a.checked_add(b).ok_or_else(count_overflow)
+}
+
+fn count_of(n: u64) -> Result<i64> {
+    i64::try_from(n).map_err(|_| count_overflow())
+}
+
 fn non_null(v: &Value) -> Option<Value> {
     if v.is_null() {
         None
@@ -372,18 +421,26 @@ fn non_null(v: &Value) -> Option<Value> {
 }
 
 /// Grouped accumulator table. Groups appear in first-seen order, which
-/// is deterministic for a deterministic input order.
+/// is deterministic for a deterministic input order. Groups are found
+/// through a hash index over each key's normalised encoding
+/// ([`encode_key`]), so a lookup costs the same with 5 groups or with
+/// the tens of thousands a SQL GROUP BY can produce.
 #[derive(Debug, Clone, Default)]
 pub struct GroupedAccs {
     funcs: Vec<AggFunc>,
     groups: Vec<(Vec<Value>, Vec<Acc>)>,
+    /// Normalised key encoding → position in `groups`.
+    index: HashMap<Vec<u8>, usize>,
+    /// Reused encoding buffer: a lookup that finds its group allocates
+    /// nothing.
+    scratch: Vec<u8>,
 }
 
 impl GroupedAccs {
     pub fn new(funcs: Vec<AggFunc>) -> GroupedAccs {
         GroupedAccs {
             funcs,
-            groups: Vec::new(),
+            ..GroupedAccs::default()
         }
     }
 
@@ -399,22 +456,33 @@ impl GroupedAccs {
         self.groups.len()
     }
 
-    /// The accumulator row for `key`, created on first sight. Linear
-    /// probing: pushed-down GROUP BYs are small by contract.
-    pub fn entry(&mut self, key: Vec<Value>) -> &mut Vec<Acc> {
-        if let Some(i) = self.groups.iter().position(|(k, _)| *k == key) {
-            return &mut self.groups[i].1;
+    /// The accumulator row for `key`, created on first sight (the key
+    /// is cloned only then). Every key of one table has the same arity:
+    /// the request's GROUP BY width.
+    pub fn entry(&mut self, key: &[Value]) -> &mut Vec<Acc> {
+        // A global aggregate has one group: every key is empty.
+        if key.is_empty() && !self.groups.is_empty() {
+            return &mut self.groups[0].1;
         }
-        let accs = self.funcs.iter().map(|f| Acc::new(*f)).collect();
-        self.groups.push((key, accs));
-        // fabriclint: allow(panic-hygiene): the group was pushed just above
-        &mut self.groups.last_mut().expect("group just pushed").1
+        self.scratch.clear();
+        encode_key(key, &mut self.scratch);
+        let slot = match self.index.get(self.scratch.as_slice()) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.groups.len();
+                self.index.insert(self.scratch.clone(), slot);
+                let accs = self.funcs.iter().map(|f| Acc::new(*f)).collect();
+                self.groups.push((key.to_vec(), accs));
+                slot
+            }
+        };
+        &mut self.groups[slot].1
     }
 
     /// Merge another table (same funcs, same group-key arity) in.
     pub fn merge(&mut self, other: &GroupedAccs) -> Result<()> {
         for (key, accs) in &other.groups {
-            let mine = self.entry(key.clone());
+            let mine = self.entry(key);
             for (a, b) in mine.iter_mut().zip(accs) {
                 a.merge(b)?;
             }
@@ -427,7 +495,7 @@ impl GroupedAccs {
     /// request has no grouping columns.
     pub fn ensure_global_group(&mut self) {
         if self.groups.is_empty() {
-            self.entry(Vec::new());
+            self.entry(&[]);
         }
     }
 
@@ -452,11 +520,9 @@ impl GroupedAccs {
         if values.len() < key_width {
             return Err(Error::Eval("truncated aggregate partial row".into()));
         }
-        let key = values[..key_width].to_vec();
-        let funcs = self.funcs.clone();
         let mut at = key_width;
-        let mut incoming = Vec::with_capacity(funcs.len());
-        for f in &funcs {
+        let mut incoming = Vec::with_capacity(self.funcs.len());
+        for f in &self.funcs {
             let w = f.partial_width();
             if values.len() < at + w {
                 return Err(Error::Eval("truncated aggregate partial row".into()));
@@ -464,7 +530,7 @@ impl GroupedAccs {
             incoming.push(Acc::from_partial(*f, &values[at..at + w])?);
             at += w;
         }
-        let mine = self.entry(key);
+        let mine = self.entry(&values[..key_width]);
         for (a, b) in mine.iter_mut().zip(&incoming) {
             a.merge(b)?;
         }
@@ -481,6 +547,42 @@ impl GroupedAccs {
                 Row::new(values)
             })
             .collect()
+    }
+}
+
+/// Append `key`'s normalised encoding to `out`: per value a type tag,
+/// then its bytes. Two keys group together exactly when their
+/// encodings are equal: values of different types never do, `-0.0`
+/// and `0.0` share one encoding (they compare equal), every NaN shares
+/// one encoding (so NaN keys form one group rather than one group per
+/// row), and strings carry their length so multi-column keys cannot
+/// alias one another.
+fn encode_key(key: &[Value], out: &mut Vec<u8>) {
+    for v in key {
+        match v {
+            Value::Null => out.push(0),
+            Value::Boolean(b) => out.extend_from_slice(&[1, u8::from(*b)]),
+            Value::Int64(i) => {
+                out.push(2);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            Value::Float64(f) => {
+                let bits = if f.is_nan() {
+                    f64::NAN.to_bits()
+                } else if *f == 0.0 {
+                    0
+                } else {
+                    f.to_bits()
+                };
+                out.push(3);
+                out.extend_from_slice(&bits.to_le_bytes());
+            }
+            Value::Varchar(s) => {
+                out.push(4);
+                out.extend_from_slice(&(s.len() as u64).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+        }
     }
 }
 
@@ -504,9 +606,11 @@ pub fn aggregate_rows(
         .map(|c| c.column.as_deref().map(|n| schema.index_of(n)).transpose())
         .collect::<Result<_>>()?;
     let mut table = GroupedAccs::new(request.calls.iter().map(|c| c.func).collect());
+    let mut key = Vec::with_capacity(key_idx.len());
     for row in rows {
-        let key: Vec<Value> = key_idx.iter().map(|&i| row.get(i).clone()).collect();
-        let accs = table.entry(key);
+        key.clear();
+        key.extend(key_idx.iter().map(|&i| row.get(i).clone()));
+        let accs = table.entry(&key);
         for (acc, idx) in accs.iter_mut().zip(&col_idx) {
             match idx {
                 Some(i) => acc.update(row.get(*i))?,
@@ -611,7 +715,7 @@ mod tests {
         for piece in all.chunks(2) {
             let mut t = GroupedAccs::new(funcs.clone());
             for row in piece {
-                let accs = t.entry(vec![row.get(0).clone()]);
+                let accs = t.entry(&[row.get(0).clone()]);
                 accs[0].update(&Value::Int64(1)).unwrap();
                 accs[1].update(row.get(2)).unwrap();
                 accs[2].update(row.get(1)).unwrap();
@@ -638,6 +742,136 @@ mod tests {
         }
         repeated.update_repeated(&Value::Float64(2.0), 5).unwrap();
         assert_eq!(one_by_one.finalize(), repeated.finalize());
+    }
+
+    /// Reference grouping: a linear scan comparing keys under the same
+    /// normalisation the index uses, independent of any hashing.
+    fn reference_groups(keys: &[Value]) -> Vec<(Value, i64)> {
+        let same = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float64(x), Value::Float64(y)) => (x.is_nan() && y.is_nan()) || x == y,
+            _ => a == b,
+        };
+        let mut out: Vec<(Value, i64)> = Vec::new();
+        for k in keys {
+            match out.iter_mut().find(|(g, _)| same(g, k)) {
+                Some((_, n)) => *n += 1,
+                None => out.push((k.clone(), 1)),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hash_index_matches_reference_grouping_over_20k_keys() {
+        // 20k distinct integer and float keys, each seen twice, plus
+        // NULL, NaN (several bit patterns), -0.0/0.0 and string keys.
+        let mut keys: Vec<Value> = Vec::new();
+        for round in 0..2 {
+            for i in 0..10_000i64 {
+                keys.push(Value::Int64(i * 7919 % 10_007));
+                keys.push(Value::Float64((i as f64 + 0.5) / 3.0));
+            }
+            keys.push(Value::Null);
+            keys.push(Value::Float64(f64::NAN));
+            keys.push(Value::Float64(-f64::NAN));
+            keys.push(Value::Float64(f64::from_bits(f64::NAN.to_bits() | 1)));
+            keys.push(Value::Float64(if round == 0 { -0.0 } else { 0.0 }));
+            keys.push(Value::Varchar(format!("k{round}")));
+            keys.push(Value::Varchar(String::new()));
+        }
+        let mut table = GroupedAccs::new(vec![AggFunc::Count]);
+        for k in &keys {
+            table.entry(std::slice::from_ref(k))[0]
+                .update(&Value::Int64(1))
+                .unwrap();
+        }
+        let got: Vec<(Value, i64)> = table
+            .finalize_rows()
+            .into_iter()
+            .map(|r| (r.get(0).clone(), r.get(1).as_i64().unwrap()))
+            .collect();
+        let want = reference_groups(&keys);
+        assert_eq!(got.len(), 20_000 + 6, "one group per distinct key");
+        assert_eq!(got.len(), want.len());
+        for ((gk, gn), (wk, wn)) in got.iter().zip(&want) {
+            let same_key = match (gk, wk) {
+                (Value::Float64(a), Value::Float64(b)) => a.to_bits() == b.to_bits(),
+                _ => gk == wk,
+            };
+            assert!(same_key && gn == wn, "{gk:?}×{gn} vs {wk:?}×{wn}");
+        }
+        let nan_group = got
+            .iter()
+            .find(|(k, _)| matches!(k, Value::Float64(f) if f.is_nan()));
+        assert_eq!(nan_group.map(|g| g.1), Some(6), "every NaN in one group");
+    }
+
+    #[test]
+    fn multi_column_keys_do_not_alias() {
+        let mut table = GroupedAccs::new(vec![AggFunc::Count]);
+        for key in [
+            vec![Value::Varchar("ab".into()), Value::Varchar("c".into())],
+            vec![Value::Varchar("a".into()), Value::Varchar("bc".into())],
+            vec![Value::Int64(1), Value::Null],
+            vec![Value::Null, Value::Int64(1)],
+            vec![Value::Int64(1), Value::Float64(1.0)],
+        ] {
+            table.entry(&key);
+        }
+        assert_eq!(table.len(), 5);
+    }
+
+    fn is_overflow<T: std::fmt::Debug>(r: Result<T>) -> bool {
+        matches!(r, Err(Error::Eval(ref m)) if m.contains("numeric overflow"))
+    }
+
+    #[test]
+    fn integer_sum_overflow_is_an_error_on_every_path() {
+        let mut a = Acc::new(AggFunc::Sum);
+        a.update(&Value::Int64(i64::MAX)).unwrap();
+        assert!(is_overflow(a.update(&Value::Int64(1))));
+
+        let mut r = Acc::new(AggFunc::Sum);
+        assert!(is_overflow(
+            r.update_repeated(&Value::Int64(i64::MAX / 2 + 1), 2)
+        ));
+        let mut r = Acc::new(AggFunc::Sum);
+        r.update(&Value::Int64(i64::MIN)).unwrap();
+        // A run that brings the total back into range never overflowed
+        // one addend at a time either.
+        r.update_repeated(&Value::Int64(i64::MAX), 1).unwrap();
+        assert_eq!(r.finalize(), Value::Int64(-1));
+        assert!(is_overflow(r.update_repeated(&Value::Int64(i64::MIN), 1)));
+
+        let mut x = Acc::new(AggFunc::Sum);
+        x.update(&Value::Int64(i64::MIN)).unwrap();
+        let mut y = Acc::new(AggFunc::Sum);
+        y.update(&Value::Int64(-1)).unwrap();
+        assert!(is_overflow(x.merge(&y)));
+
+        let mut c = Acc::Count(i64::MAX);
+        assert!(is_overflow(c.update(&Value::Int64(1))));
+        // Float sums keep IEEE semantics.
+        let mut f = Acc::new(AggFunc::Sum);
+        f.update(&Value::Float64(f64::MAX)).unwrap();
+        f.update(&Value::Float64(f64::MAX)).unwrap();
+        assert_eq!(f.finalize(), Value::Float64(f64::INFINITY));
+    }
+
+    #[test]
+    fn repeated_integer_sums_match_one_by_one_updates() {
+        for (v, n) in [(3i64, 5u64), (-7, 11), (0, 4), (i64::MAX, 1)] {
+            let mut one_by_one = Acc::new(AggFunc::Sum);
+            let mut repeated = Acc::new(AggFunc::Sum);
+            one_by_one.update(&Value::Int64(10)).unwrap();
+            repeated.update(&Value::Int64(10)).unwrap();
+            let step = (0..n).try_for_each(|_| one_by_one.update(&Value::Int64(v)));
+            let run = repeated.update_repeated(&Value::Int64(v), n);
+            assert_eq!(step.is_ok(), run.is_ok(), "{v}×{n}");
+            if run.is_ok() {
+                assert_eq!(one_by_one.finalize(), repeated.finalize(), "{v}×{n}");
+            }
+        }
     }
 
     #[test]

@@ -890,3 +890,65 @@ fn s2v_report_carries_rejected_row_samples() {
         assert!(reason.contains("NULL"), "sample: {reason}");
     }
 }
+
+/// Integer SUM overflow is one typed "numeric overflow" error on every
+/// path that aggregates: SQL lowered onto the scan, the SQL row path
+/// (through a view), `Session::query` with an `AggRequest`, and V2S
+/// aggregate pushdown, where each piece's partial fits and only the
+/// driver's merge of the partials overflows.
+#[test]
+fn integer_sum_overflow_is_one_error_on_every_path() {
+    use common::agg::{AggCall, AggFunc, AggRequest};
+
+    let (ctx, cluster) = setup();
+    let mut s = cluster.connect(0).unwrap();
+    s.execute("CREATE TABLE big (id INT, v INT) SEGMENTED BY HASH(id) ALL NODES")
+        .unwrap();
+    s.execute("CREATE VIEW big_v AS SELECT * FROM big").unwrap();
+    // Two ids in different segments, so V2S reads them in different
+    // pieces.
+    s.insert("big", (0..32i64).map(|id| row![id, 0i64]).collect())
+        .unwrap();
+    let segment_ids = |seg: &mppdb::Segment, s: &mut mppdb::Session| -> Vec<i64> {
+        s.query(&QuerySpec::scan("big").with_hash_range(seg.range))
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r.get(0).as_i64().unwrap())
+            .collect()
+    };
+    let map = cluster.segment_map();
+    let first = segment_ids(&map.segments()[0], &mut s);
+    let second = segment_ids(&map.segments()[1], &mut s);
+    s.execute("DELETE FROM big").unwrap();
+    s.insert("big", vec![row![first[0], i64::MAX], row![second[0], 1i64]])
+        .unwrap();
+    cluster.moveout_all();
+
+    let overflow = |e: String| {
+        assert!(e.contains("numeric overflow"), "{e}");
+        e
+    };
+    let lowered = s.execute("SELECT SUM(v) FROM big").unwrap_err();
+    let row_path = s.execute("SELECT SUM(v) FROM big_v").unwrap_err();
+    let spec = QuerySpec::scan("big")
+        .aggregate(AggRequest::new(&[], vec![AggCall::new(AggFunc::Sum, "v")]));
+    let queried = s.query(&spec).unwrap_err();
+    let pushed = ctx
+        .read()
+        .format(DEFAULT_SOURCE)
+        .option("table", "big")
+        .load()
+        .unwrap()
+        .agg(&[], vec![AggCall::new(AggFunc::Sum, "v")])
+        .and_then(|df| df.collect())
+        .unwrap_err();
+    let lowered = overflow(lowered.to_string());
+    assert_eq!(overflow(row_path.to_string()), lowered);
+    assert_eq!(overflow(queried.to_string()), lowered);
+    overflow(pushed.to_string());
+    assert!(matches!(
+        s.execute("SELECT SUM(v) FROM big").unwrap_err(),
+        mppdb::DbError::Data(common::Error::Eval(_))
+    ));
+}

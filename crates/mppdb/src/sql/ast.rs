@@ -70,10 +70,7 @@ impl ExprAst {
 
 /// Names treated as built-in aggregates by the executor.
 pub fn is_aggregate_name(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "COUNT" | "SUM" | "AVG" | "MIN" | "MAX"
-    )
+    common::agg::AggFunc::from_sql_name(name).is_some()
 }
 
 /// One item of a SELECT list.

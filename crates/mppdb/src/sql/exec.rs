@@ -1,15 +1,18 @@
 //! SQL statement execution.
 
+use common::agg::{AggCall, AggFunc, AggRequest, GroupedAccs};
 use common::expr::BinaryOp;
 use common::{DataType, Expr, Field, Row, Schema, Value};
 use netsim::record::NodeRef;
 
 use crate::catalog::{Segmentation, TableDef};
+use crate::cluster::Cluster;
 use crate::error::{DbError, DbResult};
-use crate::query::{QueryResult, QuerySpec};
+use crate::query::{apply_spec_to_rows, QueryResult, QuerySpec};
 use crate::session::Session;
 use crate::sql::ast::{
     is_aggregate_name, ExprAst, OrderTarget, SegmentationClause, SelectItem, SelectStmt, Statement,
+    TableRef,
 };
 use crate::udf::UdfParams;
 
@@ -54,15 +57,14 @@ fn explain_select(session: &mut Session, select: &SelectStmt) -> DbResult<QueryR
     let mut lines: Vec<String> = Vec::new();
     lines.push(format!("epoch: {epoch} (pinned snapshot)"));
 
-    let aggregating = !select.group_by.is_empty()
-        || select.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            SelectItem::Star => false,
-        });
+    // The same lowering execution uses, so the plan cannot disagree
+    // with what runs.
+    let lowered = lower_select(cluster, select);
+    const PUSHED: &str = "[pushed down to storage]";
 
     if let Some(from) = &select.from {
         let name = &from.table;
-        if crate::system::scan_system_table(cluster, name).is_some() {
+        if crate::system::is_system_table(name) {
             lines.push(format!("scan: system table {name}"));
         } else if cluster.catalog.read().view(name).is_some() {
             lines.push(format!(
@@ -106,41 +108,27 @@ fn explain_select(session: &mut Session, select: &SelectStmt) -> DbResult<QueryR
             join.table.table, join.on
         ));
     }
-    if let Some(pred) = &select.predicate {
-        match lower_scalar(pred) {
-            Ok(e) if select.joins.is_empty() && !aggregating => {
-                lines.push(format!("filter: {} [pushed down to storage]", e.to_sql()));
-            }
-            Ok(e) => lines.push(format!(
-                "filter: {} [applied after join/aggregate]",
-                e.to_sql()
-            )),
-            Err(_) => lines.push("filter: (contains functions; evaluated in the executor)".into()),
+    if select.predicate.is_some() {
+        match lowered.as_ref().and_then(|l| l.spec().predicate.as_ref()) {
+            Some(e) => lines.push(format!("filter: {} {PUSHED}", e.to_sql())),
+            None => lines.push("filter: [row path] evaluated per row in the executor".into()),
         }
     }
-    if aggregating {
-        lines.push(format!(
-            "aggregate: {} group key(s), {} output item(s)",
-            select.group_by.len(),
-            select.items.len()
-        ));
-    } else {
-        let all_plain = select.items.iter().all(|i| {
-            matches!(i, SelectItem::Star)
-                || matches!(
-                    i,
-                    SelectItem::Expr {
-                        expr: ExprAst::Column { .. },
-                        ..
-                    }
-                )
-        });
-        if all_plain && select.joins.is_empty() {
-            lines.push("projection: [pushed down to storage]".to_string());
-        } else {
-            lines.push("projection: evaluated in the executor".to_string());
+    let (keys, items) = (select.group_by.len(), select.items.len());
+    lines.push(match &lowered {
+        Some(Lowered::Aggregate { .. }) => {
+            format!("aggregate: {keys} group key(s) {PUSHED}, {items} output item(s)")
         }
-    }
+        None if is_aggregating(select) => {
+            format!("aggregate: {keys} group key(s) [row path], {items} output item(s)")
+        }
+        Some(Lowered::Columns(_)) => format!("projection: {PUSHED}"),
+        Some(Lowered::Items { spec, .. }) => format!(
+            "projection: {} referenced column(s) {PUSHED}; items evaluated in the executor",
+            spec.projection.as_ref().map_or(0, Vec::len)
+        ),
+        None => "projection: [row path] evaluated in the executor".to_string(),
+    });
     if !select.order_by.is_empty() {
         lines.push(format!("sort: {} key(s)", select.order_by.len()));
     }
@@ -362,12 +350,8 @@ impl Scope {
         }
     }
 
-    fn extend(&mut self, other: Scope) {
-        self.cols.extend(other.cols);
-    }
-
     fn resolve(&self, qualifier: Option<&str>, name: &str) -> DbResult<usize> {
-        let matches: Vec<usize> = self
+        let mut hits = self
             .cols
             .iter()
             .enumerate()
@@ -380,19 +364,232 @@ impl Scope {
                         None => true,
                     }
             })
-            .map(|(i, _)| i)
-            .collect();
-        match matches.len() {
-            0 => Err(DbError::Execution(format!(
+            .map(|(i, _)| i);
+        match (hits.next(), hits.next()) {
+            (None, _) => Err(DbError::Execution(format!(
                 "unknown column {}{name}",
                 qualifier.map(|q| format!("{q}.")).unwrap_or_default()
             ))),
-            1 => Ok(matches[0]),
-            _ => Err(DbError::Execution(format!(
+            (Some(i), None) => Ok(i),
+            (Some(_), Some(_)) => Err(DbError::Execution(format!(
                 "ambiguous column reference {name}"
             ))),
         }
     }
+
+    /// The position `expr` names when it is a bare column of the scope.
+    fn column(&self, expr: &ExprAst) -> Option<usize> {
+        match expr {
+            ExprAst::Column { qualifier, name } => self.resolve(qualifier.as_deref(), name).ok(),
+            _ => None,
+        }
+    }
+}
+
+fn is_aggregating(select: &SelectStmt) -> bool {
+    !select.group_by.is_empty()
+        || select.items.iter().any(|i| match i {
+            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
+            SelectItem::Star => false,
+        })
+}
+
+/// A single-table SELECT on a base table, lowered onto the pushdown
+/// scan by [`lower_select`].
+enum Lowered {
+    /// A grouped or global aggregate folded inside the scan. Output
+    /// column `i` is column `columns[i]` of the scan's
+    /// [`AggRequest::output_schema`] row, renamed `names[i]`.
+    Aggregate {
+        spec: QuerySpec,
+        columns: Vec<usize>,
+        names: Vec<String>,
+    },
+    /// A filtered scan of the selected plain columns; its output is the
+    /// result.
+    Columns(QuerySpec),
+    /// A filtered scan of only the columns the items reference; the
+    /// items (expressions, UDF calls) are evaluated on its rows, with
+    /// columns qualified by `qualifier`.
+    Items { spec: QuerySpec, qualifier: String },
+}
+
+impl Lowered {
+    fn spec(&self) -> &QuerySpec {
+        match self {
+            Lowered::Aggregate { spec, .. }
+            | Lowered::Columns(spec)
+            | Lowered::Items { spec, .. } => spec,
+        }
+    }
+}
+
+/// Resolves a SELECT's column references against one table's schema.
+struct TableBinder<'a> {
+    schema: &'a Schema,
+    /// What columns may be qualified with: the alias, else the table.
+    qualifier: &'a str,
+}
+
+impl TableBinder<'_> {
+    /// The schema's name for `expr` when it is a bare column of the
+    /// table.
+    fn column(&self, expr: &ExprAst) -> Option<String> {
+        let ExprAst::Column { qualifier, name } = expr else {
+            return None;
+        };
+        if qualifier
+            .as_deref()
+            .is_some_and(|q| !q.eq_ignore_ascii_case(self.qualifier))
+        {
+            return None;
+        }
+        let idx = self.schema.index_of(name).ok()?;
+        Some(self.schema.field(idx).name.clone())
+    }
+
+    /// Add the schema names of the columns `expr` references to `out`;
+    /// `None` if one is not a column of the table or `expr` holds `*`.
+    fn referenced(&self, expr: &ExprAst, out: &mut Vec<String>) -> Option<()> {
+        match expr {
+            ExprAst::Column { .. } => {
+                let column = self.column(expr)?;
+                if !out.contains(&column) {
+                    out.push(column);
+                }
+            }
+            ExprAst::Literal(_) => {}
+            ExprAst::Binary { left, right, .. } => {
+                self.referenced(left, out)?;
+                self.referenced(right, out)?;
+            }
+            ExprAst::Not(e) | ExprAst::Neg(e) | ExprAst::IsNull(e) | ExprAst::IsNotNull(e) => {
+                self.referenced(e, out)?
+            }
+            ExprAst::Like { expr, .. } => self.referenced(expr, out)?,
+            ExprAst::FuncCall { args, .. } => {
+                for a in args {
+                    self.referenced(a, out)?;
+                }
+            }
+            ExprAst::Star => return None,
+        }
+        Some(())
+    }
+
+    /// Whether `a` and `b` are the same column of the table.
+    fn same_column(&self, a: &ExprAst, b: &ExprAst) -> bool {
+        self.column(a).is_some_and(|c| self.column(b) == Some(c))
+    }
+}
+
+/// Lower a single-table SELECT on a base table onto the pushdown scan,
+/// binding its columns against the table schema once:
+/// - an aggregate whose GROUP BY keys are bare columns and whose items
+///   are group columns or aggregates of bare columns becomes a
+///   [`QuerySpec`] predicate plus [`AggRequest`];
+/// - any other SELECT becomes a filtered scan of the columns it needs.
+///
+/// `None` keeps the row path: no FROM, joins, views, system tables, a
+/// WHERE that is not a storage predicate, expression GROUP BY keys or
+/// aggregate arguments, or aggregates inside expressions. Nothing is
+/// reported here; the row path raises any error the query has.
+fn lower_select(cluster: &Cluster, select: &SelectStmt) -> Option<Lowered> {
+    let from = select.from.as_ref()?;
+    if !select.joins.is_empty()
+        || crate::system::is_system_table(&from.table)
+        || cluster.catalog.read().view(&from.table).is_some()
+    {
+        return None;
+    }
+    let def = cluster.table_def(&from.table).ok()?;
+    let binder = TableBinder {
+        schema: &def.schema,
+        qualifier: from.alias.as_deref().unwrap_or(&from.table),
+    };
+    let mut spec = QuerySpec::scan(from.table.as_str());
+    spec.as_of_epoch = select.at_epoch;
+    if let Some(p) = &select.predicate {
+        let pred = lower_scalar_qualified(p, Some(binder.qualifier)).ok()?;
+        pred.bind(binder.schema).ok()?;
+        spec.predicate = Some(pred);
+    }
+    if is_aggregating(select) {
+        lower_aggregate(select, &binder, spec)
+    } else {
+        lower_projection(select, &binder, spec)
+    }
+}
+
+fn lower_aggregate(
+    select: &SelectStmt,
+    binder: &TableBinder<'_>,
+    mut spec: QuerySpec,
+) -> Option<Lowered> {
+    let group_by = select
+        .group_by
+        .iter()
+        .map(|g| binder.column(g))
+        .collect::<Option<Vec<_>>>()?;
+    let plan = AggPlan::new(select, |a, b| binder.same_column(a, b)).ok()?;
+    // Only COUNT(*) and aggregates of bare columns fold in the scan.
+    let mut calls = plan
+        .calls
+        .iter()
+        .map(|&(func, arg)| match arg {
+            None => Some(AggCall::count_star()),
+            Some(a) => Some(AggCall::new(func, binder.column(a)?)),
+        })
+        .collect::<Option<Vec<_>>>()?;
+    // The scan folds at least one call; a GROUP BY without aggregates
+    // reads only the keys and ignores it.
+    if calls.is_empty() {
+        calls.push(AggCall::count_star());
+    }
+    spec.aggregate = Some(AggRequest { group_by, calls });
+    Some(Lowered::Aggregate {
+        spec,
+        columns: plan.columns,
+        names: plan.names,
+    })
+}
+
+fn lower_projection(
+    select: &SelectStmt,
+    binder: &TableBinder<'_>,
+    mut spec: QuerySpec,
+) -> Option<Lowered> {
+    // Without ORDER BY the scan can stop at the limit.
+    let limit = select.limit.filter(|_| select.order_by.is_empty());
+    if let [SelectItem::Star] = select.items.as_slice() {
+        spec.limit = limit;
+        return Some(Lowered::Columns(spec));
+    }
+    let plain: Option<Vec<String>> = select
+        .items
+        .iter()
+        .map(|item| match item {
+            SelectItem::Expr { expr, alias: None } => binder.column(expr),
+            _ => None,
+        })
+        .collect();
+    if let Some(columns) = plain {
+        spec.projection = Some(columns);
+        spec.limit = limit;
+        return Some(Lowered::Columns(spec));
+    }
+    let mut referenced = Vec::new();
+    for item in &select.items {
+        let SelectItem::Expr { expr, .. } = item else {
+            return None;
+        };
+        binder.referenced(expr, &mut referenced)?;
+    }
+    spec.projection = Some(referenced);
+    Some(Lowered::Items {
+        spec,
+        qualifier: binder.qualifier.to_string(),
+    })
 }
 
 pub(crate) fn execute_select(
@@ -426,23 +623,60 @@ pub(crate) fn execute_select(
         });
     };
 
-    let aggregating = !select.group_by.is_empty()
-        || select.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            SelectItem::Star => false,
-        });
-
-    // Fast path with pushdown: single table, no aggregation, no
-    // ordering (ORDER BY needs the materialized output).
-    if select.joins.is_empty() && !aggregating && select.order_by.is_empty() {
-        if let Some(result) =
-            try_pushdown_select(session, select, from.alias.as_deref(), &from.table, depth)?
-        {
-            return Ok(result);
+    let mut result = match lower_select(session.cluster(), select) {
+        Some(Lowered::Aggregate {
+            spec,
+            columns,
+            names,
+        }) => {
+            let r = session.query(&spec)?;
+            let schema = Schema::new(
+                columns
+                    .iter()
+                    .zip(names)
+                    .map(|(&c, name)| Field::new(name, r.schema.field(c).dtype))
+                    .collect(),
+            );
+            let rows: Vec<Row> = r
+                .rows
+                .iter()
+                .map(|row| Row::new(columns.iter().map(|&c| row.get(c).clone()).collect()))
+                .collect();
+            QueryResult {
+                count: rows.len() as u64,
+                schema,
+                rows,
+                epoch: r.epoch,
+                batch: None,
+            }
         }
-    }
+        Some(Lowered::Columns(spec)) => session.query(&spec)?,
+        Some(Lowered::Items { spec, qualifier }) => {
+            let r = session.query(&spec)?;
+            let scope = Scope::from_schema(Some(&qualifier), &r.schema);
+            project_rows(session, &select.items, &scope, r.rows, r.epoch)?
+        }
+        None => execute_row_path(session, select, from, epoch, depth)?,
+    };
 
-    // General path: materialize the base relation(s).
+    apply_order_by(&mut result, &select.order_by)?;
+    if let Some(limit) = select.limit {
+        result.rows.truncate(limit as usize);
+        result.count = result.rows.len() as u64;
+    }
+    Ok(result)
+}
+
+/// The row path, for what [`lower_select`] does not lower: materialize
+/// the base relation(s), join, then filter and aggregate or project row
+/// by row.
+fn execute_row_path(
+    session: &mut Session,
+    select: &SelectStmt,
+    from: &TableRef,
+    epoch: u64,
+    depth: usize,
+) -> DbResult<QueryResult> {
     let (mut rows, mut scope) = load_relation(
         session,
         &from.table,
@@ -460,10 +694,9 @@ pub(crate) fn execute_select(
             depth,
         )?;
         rows = execute_join(session, rows, &scope, right_rows, &right_scope, &join.on)?;
-        scope.extend(right_scope);
+        scope.cols.extend(right_scope.cols);
     }
 
-    // WHERE.
     if let Some(pred) = &select.predicate {
         let mut kept = Vec::with_capacity(rows.len());
         for row in rows {
@@ -474,18 +707,11 @@ pub(crate) fn execute_select(
         rows = kept;
     }
 
-    let mut result = if aggregating {
-        execute_aggregate(session, select, &scope, rows, epoch)?
+    if is_aggregating(select) {
+        aggregate_scoped(session, select, &scope, rows, epoch)
     } else {
-        project_rows(session, &select.items, &scope, rows, epoch)?
-    };
-
-    apply_order_by(&mut result, &select.order_by)?;
-    if let Some(limit) = select.limit {
-        result.rows.truncate(limit as usize);
-        result.count = result.rows.len() as u64;
+        project_rows(session, &select.items, &scope, rows, epoch)
     }
-    Ok(result)
 }
 
 /// Sort the output rows by the ORDER BY keys (output-column names or
@@ -538,89 +764,12 @@ fn apply_order_by(
     Ok(())
 }
 
-/// Pushdown-eligible single-table select: plain column projection (or
-/// `*`), a lowerable predicate, optional COUNT(*). Returns `None` when
-/// the shape doesn't fit and the general path must run.
-fn try_pushdown_select(
-    session: &mut Session,
-    select: &SelectStmt,
-    alias: Option<&str>,
-    table: &str,
-    depth: usize,
-) -> DbResult<Option<QueryResult>> {
-    let _ = depth;
-    // COUNT(*) alone?
-    if select.items.len() == 1 {
-        if let SelectItem::Expr {
-            expr: ExprAst::FuncCall { name, args, .. },
-            alias: out_alias,
-        } = &select.items[0]
-        {
-            {
-                if name.eq_ignore_ascii_case("count")
-                    && args.len() == 1
-                    && matches!(args[0], ExprAst::Star)
-                {
-                    let mut spec = QuerySpec::scan(table).count();
-                    spec.as_of_epoch = select.at_epoch;
-                    if let Some(p) = &select.predicate {
-                        match lower_scalar_qualified(p, alias) {
-                            Ok(e) => spec.predicate = Some(e),
-                            Err(_) => return Ok(None),
-                        }
-                    }
-                    let r = session.query(&spec)?;
-                    let name = out_alias.clone().unwrap_or_else(|| "count".to_string());
-                    return Ok(Some(QueryResult {
-                        schema: Schema::from_pairs(&[(name.as_str(), DataType::Int64)]),
-                        rows: vec![Row::new(vec![Value::Int64(r.count as i64)])],
-                        count: 1,
-                        epoch: r.epoch,
-                        batch: None,
-                    }));
-                }
-            }
-        }
-    }
-
-    // Plain projection?
-    let mut projection: Option<Vec<String>> = Some(Vec::new());
-    for item in &select.items {
-        match item {
-            SelectItem::Star => {
-                projection = None;
-                if select.items.len() != 1 {
-                    return Ok(None); // mixed * and expressions: general path
-                }
-                break;
-            }
-            SelectItem::Expr {
-                expr: ExprAst::Column { qualifier, name },
-                alias: item_alias,
-            } if item_alias.is_none()
-                && qualifier
-                    .as_deref()
-                    .is_none_or(|q| Some(q) == alias || q.eq_ignore_ascii_case(table)) =>
-            {
-                if let Some(p) = projection.as_mut() {
-                    p.push(name.clone());
-                }
-            }
-            _ => return Ok(None),
-        }
-    }
-
-    let mut spec = QuerySpec::scan(table);
-    spec.projection = projection;
-    spec.as_of_epoch = select.at_epoch;
-    spec.limit = select.limit;
-    if let Some(p) = &select.predicate {
-        match lower_scalar_qualified(p, alias) {
-            Ok(e) => spec.predicate = Some(e),
-            Err(_) => return Ok(None),
-        }
-    }
-    session.query(&spec).map(Some)
+/// The stored select of view `name`, pinned to `at_epoch` unless the
+/// view pins its own epoch; `None` if `name` is not a view.
+fn view_select(session: &Session, name: &str, at_epoch: Option<u64>) -> Option<SelectStmt> {
+    let mut select = session.cluster().catalog.read().view(name)?.select.clone();
+    select.at_epoch = select.at_epoch.or(at_epoch);
+    Some(select)
 }
 
 /// Load a table or view as rows plus a resolution scope.
@@ -631,16 +780,7 @@ fn load_relation(
     at_epoch: Option<u64>,
     depth: usize,
 ) -> DbResult<(Vec<Row>, Scope)> {
-    let view_select = session
-        .cluster()
-        .catalog
-        .read()
-        .view(name)
-        .map(|v| v.select.clone());
-    if let Some(mut vsel) = view_select {
-        if vsel.at_epoch.is_none() {
-            vsel.at_epoch = at_epoch;
-        }
+    if let Some(vsel) = view_select(session, name, at_epoch) {
         let r = execute_select(session, &vsel, depth + 1)?;
         let scope = Scope::from_schema(alias.or(Some(name)), &r.schema);
         return Ok((r.rows, scope));
@@ -662,52 +802,24 @@ fn execute_join(
     right_scope: &Scope,
     on: &ExprAst,
 ) -> DbResult<Vec<Row>> {
-    // Detect `l.col = r.col`.
+    // `l.col = r.col`, in either orientation: hash join.
     if let ExprAst::Binary {
-        left: le,
+        left: a,
         op: BinaryOp::Eq,
-        right: re,
+        right: b,
     } = on
     {
-        if let (
-            ExprAst::Column {
-                qualifier: q1,
-                name: n1,
-            },
-            ExprAst::Column {
-                qualifier: q2,
-                name: n2,
-            },
-        ) = (le.as_ref(), re.as_ref())
-        {
-            let l1 = left_scope.resolve(q1.as_deref(), n1);
-            let r2 = right_scope.resolve(q2.as_deref(), n2);
-            let (li, ri) = match (l1, r2) {
-                (Ok(l), Ok(r)) => (Some(l), Some(r)),
-                _ => {
-                    // Try the swapped orientation.
-                    match (
-                        left_scope.resolve(q2.as_deref(), n2),
-                        right_scope.resolve(q1.as_deref(), n1),
-                    ) {
-                        (Ok(l), Ok(r)) => (Some(l), Some(r)),
-                        _ => (None, None),
-                    }
-                }
-            };
-            if let (Some(li), Some(ri)) = (li, ri) {
-                return Ok(hash_join(left, li, right, ri));
-            }
+        let sides =
+            |l: &ExprAst, r: &ExprAst| Some((left_scope.column(l)?, right_scope.column(r)?));
+        if let Some((li, ri)) = sides(a, b).or_else(|| sides(b, a)) {
+            return Ok(hash_join(left, li, right, ri));
         }
     }
 
     // Nested loop with full ON evaluation.
-    let mut combined_scope = Scope {
-        cols: left_scope.cols.clone(),
+    let combined_scope = Scope {
+        cols: [left_scope.cols.as_slice(), &right_scope.cols].concat(),
     };
-    combined_scope.extend(Scope {
-        cols: right_scope.cols.clone(),
-    });
     let mut out = Vec::new();
     for l in &left {
         for r in &right {
@@ -766,109 +878,18 @@ fn join_key(v: &Value) -> String {
 
 // ----- aggregation ---------------------------------------------------
 
-enum AggKind {
-    CountStar,
-    Count,
-    Sum,
-    Avg,
-    Min,
-    Max,
-}
-
-fn execute_aggregate(
-    session: &mut Session,
-    select: &SelectStmt,
-    scope: &Scope,
-    rows: Vec<Row>,
-    epoch: u64,
-) -> DbResult<QueryResult> {
-    use std::collections::HashMap;
-
-    // Group rows.
-    let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for row in rows {
-        let key: Vec<Value> = select
-            .group_by
-            .iter()
-            .map(|e| eval_ast(session, e, scope, &row))
-            .collect::<DbResult<_>>()?;
-        let key_str = key
-            .iter()
-            .map(|v| format!("{}:{v}|", v.type_name()))
-            .collect::<String>();
-        let slot = *index.entry(key_str).or_insert_with(|| {
-            groups.push((key.clone(), Vec::new()));
-            groups.len() - 1
-        });
-        groups[slot].1.push(row);
-    }
-    // A global aggregate over zero rows still yields one group.
-    if groups.is_empty() && select.group_by.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
-    }
-
-    let mut names = Vec::new();
-    let mut out_rows = Vec::new();
-    for (key, group_rows) in &groups {
-        let mut values = Vec::new();
-        for (i, item) in select.items.iter().enumerate() {
-            let SelectItem::Expr { expr, alias } = item else {
-                return Err(DbError::Execution(
-                    "SELECT * cannot be combined with GROUP BY".into(),
-                ));
-            };
-            if out_rows.is_empty() {
-                names.push(output_name(expr, alias.as_deref(), i));
-            }
-            values.push(eval_agg_item(
-                session, expr, select, scope, key, group_rows,
-            )?);
-        }
-        out_rows.push(Row::new(values));
-    }
-    let schema = infer_schema(&names, &out_rows);
-    Ok(QueryResult {
-        count: out_rows.len() as u64,
-        schema,
-        rows: out_rows,
-        epoch,
-        batch: None,
-    })
-}
-
-fn eval_agg_item(
-    session: &mut Session,
-    expr: &ExprAst,
-    select: &SelectStmt,
-    scope: &Scope,
-    key: &[Value],
-    group_rows: &[Row],
-) -> DbResult<Value> {
-    // A grouping expression: return the key.
-    if let Some(pos) = select.group_by.iter().position(|g| g == expr) {
-        return Ok(key[pos].clone());
-    }
-    // An aggregate call.
+/// Split an aggregate call into its function and argument (`None` for
+/// `COUNT(*)`); errors when `expr` is not an aggregate call.
+fn split_agg_call(expr: &ExprAst) -> DbResult<(AggFunc, Option<&ExprAst>)> {
     if let ExprAst::FuncCall { name, args, .. } = expr {
-        if is_aggregate_name(name) {
-            let kind = match name.to_ascii_uppercase().as_str() {
-                "COUNT" if args.len() == 1 && matches!(args[0], ExprAst::Star) => {
-                    AggKind::CountStar
-                }
-                "COUNT" => AggKind::Count,
-                "SUM" => AggKind::Sum,
-                "AVG" => AggKind::Avg,
-                "MIN" => AggKind::Min,
-                "MAX" => AggKind::Max,
-                _ => unreachable!(),
-            };
-            if !matches!(kind, AggKind::CountStar) && args.len() != 1 {
-                return Err(DbError::Execution(format!(
+        if let Some(func) = AggFunc::from_sql_name(name) {
+            return match args.as_slice() {
+                [ExprAst::Star] if func == AggFunc::Count => Ok((func, None)),
+                [arg] => Ok((func, Some(arg))),
+                _ => Err(DbError::Execution(format!(
                     "{name} takes exactly one argument"
-                )));
-            }
-            return compute_aggregate(session, kind, args.first(), scope, group_rows);
+                ))),
+            };
         }
     }
     Err(DbError::Execution(format!(
@@ -876,70 +897,123 @@ fn eval_agg_item(
     )))
 }
 
-fn compute_aggregate(
+/// The aggregate items of a SELECT, analysed once for both paths: the
+/// aggregate calls (argument `None` for `COUNT(*)`), and per item its
+/// output name and the column of the finalized `group keys ++ calls`
+/// row it reads.
+struct AggPlan<'a> {
+    calls: Vec<(AggFunc, Option<&'a ExprAst>)>,
+    columns: Vec<usize>,
+    names: Vec<String>,
+}
+
+impl<'a> AggPlan<'a> {
+    /// Errors when an item is neither a group key nor an aggregate
+    /// call; `same_column` says whether two expressions are one column.
+    fn new(
+        select: &'a SelectStmt,
+        same_column: impl Fn(&ExprAst, &ExprAst) -> bool,
+    ) -> DbResult<AggPlan<'a>> {
+        let keys = select.group_by.len();
+        let mut plan = AggPlan {
+            calls: Vec::new(),
+            columns: Vec::with_capacity(select.items.len()),
+            names: Vec::with_capacity(select.items.len()),
+        };
+        for (i, item) in select.items.iter().enumerate() {
+            let SelectItem::Expr { expr, alias } = item else {
+                return Err(DbError::Execution(
+                    "SELECT * cannot be combined with GROUP BY".into(),
+                ));
+            };
+            plan.names.push(output_name(expr, alias.as_deref(), i));
+            let key = select
+                .group_by
+                .iter()
+                .position(|g| g == expr || same_column(g, expr));
+            plan.columns.push(match key {
+                Some(k) => k,
+                None => {
+                    plan.calls.push(split_agg_call(expr)?);
+                    keys + plan.calls.len() - 1
+                }
+            });
+        }
+        Ok(plan)
+    }
+}
+
+/// Row-path aggregation (joins, views, expression keys or arguments):
+/// the grouped accumulators of [`common::agg`] that the scan folds
+/// into, fed by evaluating every key and argument per row. An item's
+/// type is static when it is a bare column, COUNT, AVG, or SUM/MIN/MAX
+/// of a bare column, as on the lowered path; otherwise it comes from
+/// the values.
+fn aggregate_scoped(
     session: &mut Session,
-    kind: AggKind,
-    arg: Option<&ExprAst>,
+    select: &SelectStmt,
     scope: &Scope,
-    rows: &[Row],
-) -> DbResult<Value> {
-    if matches!(kind, AggKind::CountStar) {
-        return Ok(Value::Int64(rows.len() as i64));
-    }
-    let arg = arg.ok_or_else(|| DbError::Execution("aggregate missing argument".into()))?;
-    let mut non_null: Vec<Value> = Vec::new();
-    for row in rows {
-        let v = eval_ast(session, arg, scope, row)?;
-        if !v.is_null() {
-            non_null.push(v);
+    rows: Vec<Row>,
+    epoch: u64,
+) -> DbResult<QueryResult> {
+    let same_column =
+        |a: &ExprAst, b: &ExprAst| scope.column(a).is_some_and(|c| scope.column(b) == Some(c));
+    let AggPlan {
+        calls,
+        columns,
+        names,
+    } = AggPlan::new(select, same_column)?;
+    let column_type = |e: &ExprAst| scope.column(e).map(|c| scope.cols[c].2);
+    let keys = select.group_by.len();
+    let dtypes = columns.iter().map(|&c| match c.checked_sub(keys) {
+        None => column_type(&select.group_by[c]),
+        Some(k) => match calls[k] {
+            (AggFunc::Count, _) => Some(DataType::Int64),
+            (AggFunc::Avg, _) => Some(DataType::Float64),
+            (_, arg) => arg.and_then(column_type),
+        },
+    });
+
+    let mut accs = GroupedAccs::new(calls.iter().map(|(f, _)| *f).collect());
+    let mut key = Vec::with_capacity(select.group_by.len());
+    for row in &rows {
+        key.clear();
+        for g in &select.group_by {
+            key.push(eval_ast(session, g, scope, row)?);
+        }
+        let group = accs.entry(&key);
+        for ((_, arg), acc) in calls.iter().zip(group.iter_mut()) {
+            let v = match arg {
+                Some(a) => eval_ast(session, a, scope, row)?,
+                None => Value::Int64(1),
+            };
+            acc.update(&v).map_err(DbError::Data)?;
         }
     }
-    Ok(match kind {
-        AggKind::CountStar => unreachable!(),
-        AggKind::Count => Value::Int64(non_null.len() as i64),
-        AggKind::Sum => {
-            if non_null.is_empty() {
-                Value::Null
-            } else if non_null.iter().all(|v| matches!(v, Value::Int64(_))) {
-                let mut total = 0i64;
-                for v in &non_null {
-                    total += v.as_i64().map_err(DbError::Data)?;
-                }
-                Value::Int64(total)
-            } else {
-                let mut total = 0.0;
-                for v in &non_null {
-                    total += v.as_f64().map_err(DbError::Data)?;
-                }
-                Value::Float64(total)
-            }
-        }
-        AggKind::Avg => {
-            if non_null.is_empty() {
-                Value::Null
-            } else {
-                let mut total = 0.0;
-                for v in &non_null {
-                    total += v.as_f64().map_err(DbError::Data)?;
-                }
-                Value::Float64(total / non_null.len() as f64)
-            }
-        }
-        AggKind::Min | AggKind::Max => {
-            let want_less = matches!(kind, AggKind::Min);
-            let mut best: Option<Value> = None;
-            for v in non_null {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => match v.sql_cmp(&b) {
-                        Some(std::cmp::Ordering::Less) if want_less => v,
-                        Some(std::cmp::Ordering::Greater) if !want_less => v,
-                        _ => b,
-                    },
-                });
-            }
-            best.unwrap_or(Value::Null)
-        }
+    if select.group_by.is_empty() {
+        accs.ensure_global_group();
+    }
+
+    let out_rows: Vec<Row> = accs
+        .finalize_rows()
+        .iter()
+        .map(|r| Row::new(columns.iter().map(|&c| r.get(c).clone()).collect()))
+        .collect();
+    let inferred = infer_schema(&names, &out_rows);
+    let schema = Schema::new(
+        inferred
+            .fields()
+            .iter()
+            .zip(dtypes)
+            .map(|(f, dtype)| Field::new(f.name.clone(), dtype.unwrap_or(f.dtype)))
+            .collect(),
+    );
+    Ok(QueryResult {
+        count: out_rows.len() as u64,
+        schema,
+        rows: out_rows,
+        epoch,
+        batch: None,
     })
 }
 
@@ -953,7 +1027,7 @@ fn project_rows(
     epoch: u64,
 ) -> DbResult<QueryResult> {
     // Pure `SELECT *`.
-    if items.len() == 1 && matches!(items[0], SelectItem::Star) {
+    if let [SelectItem::Star] = items {
         let schema = Schema::new(
             scope
                 .cols
@@ -969,43 +1043,24 @@ fn project_rows(
             batch: None,
         });
     }
-    let mut names = Vec::new();
+    let mut exprs = Vec::with_capacity(items.len());
+    let mut names = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let SelectItem::Expr { expr, alias } = item else {
+            return Err(DbError::Execution(
+                "SELECT * cannot be mixed with expressions".into(),
+            ));
+        };
+        exprs.push(expr);
+        names.push(output_name(expr, alias.as_deref(), i));
+    }
     let mut out_rows = Vec::with_capacity(rows.len());
-    for (ri, row) in rows.iter().enumerate() {
-        let mut values = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            match item {
-                SelectItem::Star => {
-                    if ri == 0 {
-                        return Err(DbError::Execution(
-                            "SELECT * cannot be mixed with expressions".into(),
-                        ));
-                    }
-                    unreachable!()
-                }
-                SelectItem::Expr { expr, alias } => {
-                    if ri == 0 {
-                        names.push(output_name(expr, alias.as_deref(), i));
-                    }
-                    values.push(eval_ast(session, expr, scope, row)?);
-                }
-            }
+    for row in &rows {
+        let mut values = Vec::with_capacity(exprs.len());
+        for expr in &exprs {
+            values.push(eval_ast(session, expr, scope, row)?);
         }
         out_rows.push(Row::new(values));
-    }
-    if rows.is_empty() {
-        for (i, item) in items.iter().enumerate() {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    names.push(output_name(expr, alias.as_deref(), i))
-                }
-                SelectItem::Star => {
-                    return Err(DbError::Execution(
-                        "SELECT * cannot be mixed with expressions".into(),
-                    ))
-                }
-            }
-        }
     }
     let schema = infer_schema(&names, &out_rows);
     Ok(QueryResult {
@@ -1186,70 +1241,8 @@ pub(crate) fn execute_view_scan(session: &mut Session, spec: &QuerySpec) -> DbRe
             spec.table
         )));
     }
-    let select = session
-        .cluster()
-        .catalog
-        .read()
-        .view(&spec.table)
-        .map(|v| v.select.clone())
+    let vsel = view_select(session, &spec.table, spec.as_of_epoch)
         .ok_or_else(|| DbError::UnknownTable(spec.table.clone()))?;
-    let mut vsel = select;
-    if vsel.at_epoch.is_none() {
-        vsel.at_epoch = spec.as_of_epoch;
-    }
     let base = execute_select(session, &vsel, 1)?;
-
-    let mut rows = base.rows;
-    if let Some((start, end)) = spec.row_range {
-        let start = (start as usize).min(rows.len());
-        let end = (end as usize).min(rows.len());
-        rows = rows[start..end].to_vec();
-    }
-    if let Some(pred) = &spec.predicate {
-        let bound = pred.bind(&base.schema).map_err(DbError::Data)?;
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            if bound.matches(&row).map_err(DbError::Data)? {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
-    let (schema, rows) = match &spec.projection {
-        Some(cols) => {
-            let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-            let schema = base.schema.project(&refs).map_err(DbError::Data)?;
-            let idx: Vec<usize> = cols
-                .iter()
-                .map(|c| base.schema.index_of(c))
-                .collect::<Result<_, _>>()
-                .map_err(DbError::Data)?;
-            (
-                schema,
-                rows.into_iter().map(|r| r.into_projected(&idx)).collect(),
-            )
-        }
-        None => (base.schema, rows),
-    };
-    let count = rows.len() as u64;
-    if spec.count_only {
-        return Ok(QueryResult {
-            schema,
-            rows: Vec::new(),
-            count,
-            epoch: base.epoch,
-            batch: None,
-        });
-    }
-    let mut rows = rows;
-    if let Some(limit) = spec.limit {
-        rows.truncate(limit as usize);
-    }
-    Ok(QueryResult {
-        count: rows.len() as u64,
-        schema,
-        rows,
-        epoch: base.epoch,
-        batch: None,
-    })
+    apply_spec_to_rows(base.schema, base.rows, spec, base.epoch)
 }

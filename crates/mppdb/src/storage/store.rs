@@ -882,6 +882,7 @@ impl NodeTableStore {
         let mut rows_skipped = 0u64;
         let mut stats_answered = 0u64;
         let mut scratch = Row::new(vec![Value::Null; self.column_count]);
+        let mut key: Vec<Value> = Vec::with_capacity(group_by.len());
         let plan = scan.predicate.map(|p| PredPlan::new(p, !scan.no_skip));
         // Ordinals the accumulation step must decode: grouping columns
         // plus aggregate inputs, deduplicated.
@@ -933,7 +934,7 @@ impl NodeTableStore {
             {
                 let n = c.stats.row_count;
                 examined += n;
-                let group = accs.entry(Vec::new());
+                let group = accs.entry(&[]);
                 for ((f, col), acc) in funcs.iter().zip(group.iter_mut()) {
                     match (f, col) {
                         (AggFunc::Count, None) => acc.update_repeated(&Value::Int64(1), n)?,
@@ -1026,8 +1027,9 @@ impl NodeTableStore {
                 }
             };
             for k in 0..sel.len() {
-                let key: Vec<Value> = group_by.iter().map(|&g| value_of(g, k).clone()).collect();
-                let group = accs.entry(key);
+                key.clear();
+                key.extend(group_by.iter().map(|&g| value_of(g, k).clone()));
+                let group = accs.entry(&key);
                 for ((f, col), acc) in funcs.iter().zip(group.iter_mut()) {
                     match (f, col) {
                         (AggFunc::Count, None) => acc.update(&Value::Int64(1))?,
@@ -1056,8 +1058,9 @@ impl NodeTableStore {
                     continue;
                 }
             }
-            let key: Vec<Value> = group_by.iter().map(|&g| r.row.get(g).clone()).collect();
-            let group = accs.entry(key);
+            key.clear();
+            key.extend(group_by.iter().map(|&g| r.row.get(g).clone()));
+            let group = accs.entry(&key);
             for ((f, col), acc) in funcs.iter().zip(group.iter_mut()) {
                 match (f, col) {
                     (AggFunc::Count, None) => acc.update(&Value::Int64(1))?,

@@ -278,6 +278,11 @@ pub const SYSTEM_TABLES: &[&str] = &[
     "dc_rebalance",
 ];
 
+/// Whether `name` is a system table (without producing its contents).
+pub(crate) fn is_system_table(name: &str) -> bool {
+    DEFS.iter().any(|d| d.name.eq_ignore_ascii_case(name))
+}
+
 /// Produce the contents of a system table, or `None` if `name` isn't one.
 pub(crate) fn scan_system_table(cluster: &Cluster, name: &str) -> Option<(Schema, Vec<Row>)> {
     let name = name.to_ascii_lowercase();

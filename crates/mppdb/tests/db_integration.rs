@@ -497,6 +497,29 @@ fn explain_describes_the_plan() {
     assert!(p.contains("aggregate: 1 group key(s)"), "{p}");
     assert!(p.contains("sort: 1 key(s)"), "{p}");
 
+    // A filtered aggregate on a base table lowers onto the scan.
+    let p = plan(
+        &mut s,
+        "EXPLAIN SELECT id, SUM(x) FROM facts WHERE x > 0.5 GROUP BY id",
+    );
+    assert!(
+        p.contains("aggregate: 1 group key(s) [pushed down to storage]"),
+        "{p}"
+    );
+    assert!(
+        p.contains("filter: (x > 0.5) [pushed down to storage]"),
+        "{p}"
+    );
+
+    // A join stays on the row path.
+    let p = plan(
+        &mut s,
+        "EXPLAIN SELECT a.id, COUNT(*) FROM facts a JOIN facts b ON a.id = b.id \
+         WHERE a.x > 0.5 GROUP BY a.id",
+    );
+    assert!(p.contains("aggregate: 1 group key(s) [row path]"), "{p}");
+    assert!(!p.contains("[pushed down to storage]"), "{p}");
+
     // Epoch pin shows up.
     let e = c.current_epoch();
     let p = plan(&mut s, &format!("EXPLAIN AT EPOCH {e} SELECT * FROM facts"));

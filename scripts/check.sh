@@ -85,6 +85,12 @@ cargo run -q -p bench --bin ablation_stream > /dev/null
 echo "== ablation_rebalance"
 cargo run -q -p bench --bin ablation_rebalance > /dev/null
 
+# The measured benchmark's own tests: its reference checks accept
+# correct SQL aggregate rows and PMML scores and reject corrupted ones,
+# and a tiny run of every workload must pass them.
+echo "== perfbench tests"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 # The tracing overhead bench must always compile: span-layer API
 # drift shows up here before it shows up in a profiling session.
 echo "== cargo bench --bench trace_micro --no-run"
