@@ -170,7 +170,7 @@ impl Expr {
             },
             Expr::Neg(e) => match e.eval(row)? {
                 Value::Null => Ok(Value::Null),
-                Value::Int64(i) => Ok(Value::Int64(-i)),
+                Value::Int64(i) => i.checked_neg().map(Value::Int64).ok_or_else(overflow),
                 Value::Float64(f) => Ok(Value::Float64(-f)),
                 other => Err(Error::TypeMismatch {
                     expected: "numeric".into(),
@@ -193,10 +193,13 @@ impl Expr {
     }
 
     /// Static result type of the expression under a schema, when known.
+    /// An ordinal past the schema's end (a value computed outside the
+    /// expression, such as a UDF result) has no static type, nor does
+    /// arithmetic with such an operand or a NULL literal.
     pub fn result_type(&self, schema: &Schema) -> Result<Option<DataType>> {
         Ok(match self {
             Expr::Column(name) => Some(schema.field(schema.index_of(name)?).dtype),
-            Expr::ColumnIdx(i) => Some(schema.field(*i).dtype),
+            Expr::ColumnIdx(i) => schema.fields().get(*i).map(|f| f.dtype),
             Expr::Literal(v) => v.data_type(),
             Expr::Binary { left, op, right } => match op {
                 BinaryOp::Eq
@@ -207,24 +210,17 @@ impl Expr {
                 | BinaryOp::GtEq
                 | BinaryOp::And
                 | BinaryOp::Or => Some(DataType::Boolean),
-                _ => {
-                    let lt = left.result_type(schema)?;
-                    let rt = right.result_type(schema)?;
-                    match (lt, rt) {
-                        (Some(DataType::Float64), _) | (_, Some(DataType::Float64)) => {
-                            Some(DataType::Float64)
-                        }
-                        (Some(DataType::Int64), _) | (_, Some(DataType::Int64)) => {
-                            // Division always yields a float, as in Vertica.
-                            if matches!(op, BinaryOp::Div) {
-                                Some(DataType::Float64)
-                            } else {
-                                Some(DataType::Int64)
-                            }
-                        }
-                        _ => None,
+                _ => match (left.result_type(schema)?, right.result_type(schema)?) {
+                    // Division always yields a float, as in Vertica.
+                    (Some(DataType::Int64), Some(DataType::Int64)) if *op != BinaryOp::Div => {
+                        Some(DataType::Int64)
                     }
-                }
+                    (
+                        Some(DataType::Int64 | DataType::Float64),
+                        Some(DataType::Int64 | DataType::Float64),
+                    ) => Some(DataType::Float64),
+                    _ => None,
+                },
             },
             Expr::Not(_) | Expr::IsNull(_) | Expr::IsNotNull(_) | Expr::Like { .. } => {
                 Some(DataType::Boolean)
@@ -272,6 +268,24 @@ impl Expr {
                 e.referenced_indices(out)
             }
             Expr::Like { expr, .. } => expr.referenced_indices(out),
+        }
+    }
+
+    /// Rewrite every bound column ordinal through `f`, as when the row
+    /// an expression reads is narrowed to fewer columns.
+    pub fn map_indices(&mut self, f: &impl Fn(usize) -> usize) {
+        match self {
+            Expr::ColumnIdx(i) => *i = f(*i),
+            Expr::Column(_) | Expr::Literal(_) => {}
+            Expr::Binary { left, right, .. } => {
+                left.map_indices(f);
+                right.map_indices(f);
+            }
+            Expr::Not(e)
+            | Expr::Neg(e)
+            | Expr::IsNull(e)
+            | Expr::IsNotNull(e)
+            | Expr::Like { expr: e, .. } => e.map_indices(f),
         }
     }
 
@@ -385,9 +399,9 @@ fn eval_binary(op: BinaryOp, l: Value, r: Value) -> Result<Value> {
                     let a = *a;
                     let b = *b;
                     match op {
-                        Add => Ok(Value::Int64(a.wrapping_add(b))),
-                        Sub => Ok(Value::Int64(a.wrapping_sub(b))),
-                        Mul => Ok(Value::Int64(a.wrapping_mul(b))),
+                        Add => a.checked_add(b).map(Value::Int64).ok_or_else(overflow),
+                        Sub => a.checked_sub(b).map(Value::Int64).ok_or_else(overflow),
+                        Mul => a.checked_mul(b).map(Value::Int64).ok_or_else(overflow),
                         Div => {
                             if b == 0 {
                                 Err(Error::Eval("division by zero".into()))
@@ -399,7 +413,8 @@ fn eval_binary(op: BinaryOp, l: Value, r: Value) -> Result<Value> {
                             if b == 0 {
                                 Err(Error::Eval("division by zero".into()))
                             } else {
-                                Ok(Value::Int64(a % b))
+                                // `MIN % -1` is 0, not an overflow.
+                                Ok(Value::Int64(a.wrapping_rem(b)))
                             }
                         }
                         _ => unreachable!(),
@@ -432,6 +447,12 @@ fn eval_binary(op: BinaryOp, l: Value, r: Value) -> Result<Value> {
         }
         And | Or => unreachable!("handled by eval_logical"),
     }
+}
+
+/// The error integer `+`, `-`, `*` and unary `-` raise when the result
+/// leaves the BIGINT range.
+fn overflow() -> Error {
+    Error::Eval("numeric overflow: result exceeds the BIGINT range".into())
 }
 
 /// SQL LIKE matcher: `%` matches any run (including empty), `_` matches a
@@ -562,6 +583,95 @@ mod tests {
         let r = row![0i64, 0.0f64, "x"];
         let e = Expr::binary(Expr::lit(1i64), BinaryOp::Div, Expr::col("id"));
         assert!(e.bind(&schema()).unwrap().eval(&r).is_err());
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error_and_rem_is_total() {
+        let schema = Schema::from_pairs(&[("c", DataType::Int64)]);
+        let r = row![i64::MIN];
+        let eval = |e: Expr| e.bind(&schema).unwrap().eval(&r);
+        let c = || Expr::col("c");
+        let overflows = |res: Result<Value>| matches!(res, Err(Error::Eval(ref m)) if m.contains("numeric overflow"));
+        assert!(overflows(eval(Expr::Neg(Box::new(c())))));
+        assert!(overflows(eval(Expr::binary(
+            c(),
+            BinaryOp::Sub,
+            Expr::lit(1i64)
+        ))));
+        assert!(overflows(eval(Expr::binary(
+            c(),
+            BinaryOp::Add,
+            Expr::lit(-1i64)
+        ))));
+        assert!(overflows(eval(Expr::binary(
+            c(),
+            BinaryOp::Mul,
+            Expr::lit(-1i64)
+        ))));
+        assert!(overflows(eval(Expr::binary(
+            Expr::lit(i64::MAX),
+            BinaryOp::Add,
+            Expr::lit(1i64)
+        ))));
+        // `MIN % -1` is exactly 0; in-range results are exact.
+        assert_eq!(
+            eval(Expr::binary(c(), BinaryOp::Mod, Expr::lit(-1i64))).unwrap(),
+            Value::Int64(0)
+        );
+        assert_eq!(
+            eval(Expr::binary(c(), BinaryOp::Add, Expr::lit(1i64))).unwrap(),
+            Value::Int64(i64::MIN + 1)
+        );
+        assert_eq!(
+            eval(Expr::binary(c(), BinaryOp::Mul, Expr::lit(-1.0f64))).unwrap(),
+            Value::Float64(-(i64::MIN as f64))
+        );
+    }
+
+    #[test]
+    fn result_types_are_static_or_unknown() {
+        let ty = |e: Expr| e.result_type(&schema()).unwrap();
+        let id = || Expr::col("id");
+        assert_eq!(
+            ty(Expr::binary(id(), BinaryOp::Mul, Expr::lit(2i64))),
+            Some(DataType::Int64)
+        );
+        assert_eq!(
+            ty(Expr::binary(id(), BinaryOp::Div, Expr::lit(2i64))),
+            Some(DataType::Float64)
+        );
+        assert_eq!(
+            ty(Expr::binary(id(), BinaryOp::Add, Expr::col("score"))),
+            Some(DataType::Float64)
+        );
+        assert_eq!(ty(Expr::Neg(Box::new(id()))), Some(DataType::Int64));
+        assert_eq!(ty(id().gt(Expr::ColumnIdx(3))), Some(DataType::Boolean));
+        // Past the schema (a value computed elsewhere) or NULL: unknown,
+        // and so is arithmetic over it.
+        assert_eq!(ty(Expr::ColumnIdx(3)), None);
+        assert_eq!(
+            ty(Expr::binary(
+                Expr::ColumnIdx(3),
+                BinaryOp::Add,
+                Expr::lit(1i64)
+            )),
+            None
+        );
+        assert_eq!(
+            ty(Expr::binary(Expr::lit(Value::Null), BinaryOp::Add, id())),
+            None
+        );
+    }
+
+    #[test]
+    fn map_indices_rewrites_every_ordinal() {
+        let mut e = Expr::ColumnIdx(4)
+            .gt(Expr::lit(1i64))
+            .and(Expr::IsNull(Box::new(Expr::ColumnIdx(7))));
+        e.map_indices(&|i| i - 4);
+        let mut used = Vec::new();
+        e.referenced_indices(&mut used);
+        assert_eq!(used, vec![0, 3]);
     }
 
     #[test]

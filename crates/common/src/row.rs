@@ -43,6 +43,17 @@ impl Row {
         self.values[idx] = value;
     }
 
+    /// Append a value past the schema's columns (the SQL row path
+    /// appends computed UDF results for the expressions that read them).
+    pub fn push(&mut self, value: Value) {
+        self.values.push(value);
+    }
+
+    /// Drop every value past the first `len`.
+    pub fn truncate(&mut self, len: usize) {
+        self.values.truncate(len);
+    }
+
     /// Project the row onto the given column ordinals.
     pub fn project(&self, indices: &[usize]) -> Row {
         Row::new(indices.iter().map(|&i| self.values[i].clone()).collect())

@@ -1,5 +1,7 @@
 //! SQL statement execution.
 
+use std::sync::Arc;
+
 use common::agg::{AggCall, AggFunc, AggRequest, GroupedAccs};
 use common::expr::BinaryOp;
 use common::{DataType, Expr, Field, Row, Schema, Value};
@@ -14,7 +16,7 @@ use crate::sql::ast::{
     is_aggregate_name, ExprAst, OrderTarget, SegmentationClause, SelectItem, SelectStmt, Statement,
     TableRef,
 };
-use crate::udf::UdfParams;
+use crate::udf::{ScalarUdf, UdfParams};
 
 /// Result of executing one SQL statement.
 #[derive(Debug, Clone)]
@@ -221,9 +223,7 @@ pub(crate) fn execute_statement(session: &mut Session, stmt: Statement) -> DbRes
         } => execute_update(session, &table, assignments, predicate),
         Statement::Delete { table, predicate } => {
             let def = session.cluster().table_def(&table)?;
-            let pred = predicate
-                .map(|p| lower_scalar(&p).and_then(|e| e.bind(&def.schema).map_err(DbError::Data)))
-                .transpose()?;
+            let pred = predicate.map(|p| bind_dml(&def, &p)).transpose()?;
             let n = session.with_txn(|cluster, txn, node, tag| {
                 cluster.delete_where(txn, node, tag, &table, pred.as_ref())
             })?;
@@ -262,6 +262,11 @@ fn execute_insert(
             .map_err(DbError::Data)?,
         None => (0..def.schema.len()).collect(),
     };
+    // VALUES expressions see no columns: each row binds over an empty
+    // scope and evaluates once.
+    let no_columns = Scope { cols: Vec::new() };
+    let mut udf_calls = 0;
+    let mut evaluated = Vec::new();
     let mut rows = Vec::with_capacity(value_rows.len());
     for exprs in value_rows {
         if exprs.len() != target_idx.len() {
@@ -271,14 +276,30 @@ fn execute_insert(
                 target_idx.len()
             )));
         }
+        RowExprs::bind(&no_columns, session.cluster(), &exprs)?.eval(
+            &mut Row::default(),
+            &mut evaluated,
+            &mut udf_calls,
+        )?;
         let mut values = vec![Value::Null; def.schema.len()];
-        for (expr, &idx) in exprs.iter().zip(&target_idx) {
-            values[idx] = eval_const(expr)?;
+        for (value, &idx) in evaluated.drain(..).zip(&target_idx) {
+            values[idx] = value;
         }
         rows.push(Row::new(values));
     }
+    record_udf_calls(session, udf_calls);
     let n = session.insert(table, rows)?;
     Ok(SqlResult::Affected(n))
+}
+
+/// Bind a DML predicate or SET expression on `def`'s table: a storage
+/// expression over the table's ordinals, which may call no function.
+fn bind_dml(def: &TableDef, ast: &ExprAst) -> DbResult<Expr> {
+    let scope = Scope::from_schema(Some(&def.name), &def.schema);
+    Binder::new(&scope, Target::Storage)
+        .bind(ast)?
+        .bind(&def.schema)
+        .map_err(DbError::Data)
 }
 
 fn execute_update(
@@ -288,15 +309,12 @@ fn execute_update(
     predicate: Option<ExprAst>,
 ) -> DbResult<SqlResult> {
     let def = session.cluster().table_def(table)?;
-    let pred = predicate
-        .map(|p| lower_scalar(&p).and_then(|e| e.bind(&def.schema).map_err(DbError::Data)))
-        .transpose()?;
+    let pred = predicate.map(|p| bind_dml(&def, &p)).transpose()?;
     let assigns: Vec<(usize, Expr)> = assignments
         .iter()
         .map(|(col, e)| {
             let idx = def.schema.index_of(col).map_err(DbError::Data)?;
-            let expr = lower_scalar(e)?.bind(&def.schema).map_err(DbError::Data)?;
-            Ok((idx, expr))
+            Ok((idx, bind_dml(&def, e)?))
         })
         .collect::<DbResult<Vec<_>>>()?;
 
@@ -384,6 +402,25 @@ impl Scope {
             _ => None,
         }
     }
+
+    /// The scope's name for `expr` when it is a bare column.
+    fn column_name(&self, expr: &ExprAst) -> Option<String> {
+        self.column(expr).map(|i| self.cols[i].1.clone())
+    }
+
+    /// Whether `a` and `b` are the same column of the scope.
+    fn same_column(&self, a: &ExprAst, b: &ExprAst) -> bool {
+        self.column(a).is_some_and(|c| self.column(b) == Some(c))
+    }
+
+    fn schema(&self) -> Schema {
+        Schema::new(
+            self.cols
+                .iter()
+                .map(|(_, name, dtype)| Field::new(name.clone(), *dtype))
+                .collect(),
+        )
+    }
 }
 
 fn is_aggregating(select: &SelectStmt) -> bool {
@@ -393,6 +430,289 @@ fn is_aggregating(select: &SelectStmt) -> bool {
             SelectItem::Star => false,
         })
 }
+
+// ----- binding -------------------------------------------------------
+
+/// What a [`Binder`] binds for.
+#[derive(Clone, Copy)]
+enum Target<'a> {
+    /// The row path: a column binds to its scope ordinal
+    /// ([`Expr::ColumnIdx`]), and a UDF call, resolved in the cluster's
+    /// registry, to a slot ordinal past the scope's columns.
+    Rows(&'a Cluster),
+    /// A storage predicate or DML expression: a column binds to the
+    /// table's column name ([`Expr::Column`], which EXPLAIN prints), and
+    /// no function may be called.
+    Storage,
+}
+
+/// A UDF call resolved once per statement. Per row its value fills the
+/// slot after the scope's columns and the slots bound before it, which
+/// its arguments (nested calls) may read.
+struct UdfSlot {
+    udf: Arc<dyn ScalarUdf>,
+    args: Vec<Expr>,
+    params: UdfParams,
+}
+
+/// The SQL layer's one AST walker: binds [`ExprAst`]s over a [`Scope`]
+/// into shared [`Expr`]s once per statement. Unknown columns and
+/// functions, and aggregates in scalar positions, fail here, before any
+/// row is read.
+struct Binder<'a> {
+    scope: &'a Scope,
+    target: Target<'a>,
+    slots: Vec<UdfSlot>,
+}
+
+impl<'a> Binder<'a> {
+    fn new(scope: &'a Scope, target: Target<'a>) -> Binder<'a> {
+        Binder {
+            scope,
+            target,
+            slots: Vec::new(),
+        }
+    }
+
+    fn bind(&mut self, ast: &ExprAst) -> DbResult<Expr> {
+        Ok(match ast {
+            ExprAst::Column { qualifier, name } => {
+                let i = self.scope.resolve(qualifier.as_deref(), name)?;
+                match self.target {
+                    Target::Rows(_) => Expr::ColumnIdx(i),
+                    Target::Storage => Expr::Column(self.scope.cols[i].1.clone()),
+                }
+            }
+            ExprAst::Literal(v) => Expr::Literal(v.clone()),
+            ExprAst::Binary { left, op, right } => Expr::Binary {
+                left: Box::new(self.bind(left)?),
+                op: *op,
+                right: Box::new(self.bind(right)?),
+            },
+            ExprAst::Not(e) => Expr::Not(Box::new(self.bind(e)?)),
+            ExprAst::Neg(e) => Expr::Neg(Box::new(self.bind(e)?)),
+            ExprAst::IsNull(e) => Expr::IsNull(Box::new(self.bind(e)?)),
+            ExprAst::IsNotNull(e) => Expr::IsNotNull(Box::new(self.bind(e)?)),
+            ExprAst::Like { expr, pattern } => Expr::Like {
+                expr: Box::new(self.bind(expr)?),
+                pattern: pattern.clone(),
+            },
+            ExprAst::FuncCall {
+                name,
+                args,
+                parameters,
+            } => {
+                let Target::Rows(cluster) = self.target else {
+                    return Err(DbError::Execution(format!(
+                        "function {name} cannot be lowered to a storage predicate"
+                    )));
+                };
+                if is_aggregate_name(name) {
+                    return Err(DbError::Execution(format!(
+                        "aggregate {name} not allowed here"
+                    )));
+                }
+                let udf = cluster
+                    .udf(name)
+                    .ok_or_else(|| DbError::Udf(format!("unknown function: {name}")))?;
+                let args = self.bind_all(args)?;
+                self.slots.push(UdfSlot {
+                    udf,
+                    args,
+                    params: UdfParams::new(parameters),
+                });
+                Expr::ColumnIdx(self.scope.cols.len() + self.slots.len() - 1)
+            }
+            ExprAst::Star => return Err(DbError::Execution("* is not a scalar expression".into())),
+        })
+    }
+
+    fn bind_all(&mut self, asts: &[ExprAst]) -> DbResult<Vec<Expr>> {
+        asts.iter().map(|a| self.bind(a)).collect()
+    }
+
+    /// `exprs`, bound by this binder, as expressions evaluated per row.
+    fn finish(self, exprs: Vec<Expr>) -> RowExprs {
+        RowExprs {
+            width: self.scope.cols.len(),
+            slots: self.slots,
+            exprs,
+        }
+    }
+}
+
+/// Expressions bound once per statement over rows `width` columns wide,
+/// plus the UDF calls they read as slots past those columns.
+struct RowExprs {
+    width: usize,
+    slots: Vec<UdfSlot>,
+    exprs: Vec<Expr>,
+}
+
+impl RowExprs {
+    /// Bind `asts` for the row path over `scope`.
+    fn bind(scope: &Scope, cluster: &Cluster, asts: &[ExprAst]) -> DbResult<RowExprs> {
+        let mut binder = Binder::new(scope, Target::Rows(cluster));
+        let exprs = binder.bind_all(asts)?;
+        Ok(binder.finish(exprs))
+    }
+
+    /// Evaluate the expressions over `row` into `out`. The UDF slots
+    /// are filled first, in bind order, so a nested call's value is in
+    /// place before the call that reads it; `row` is then cut back to
+    /// its own columns. Adds the UDF invocations to `udf_calls`.
+    fn eval(&self, row: &mut Row, out: &mut Vec<Value>, udf_calls: &mut u64) -> DbResult<()> {
+        for slot in &self.slots {
+            out.clear();
+            for arg in &slot.args {
+                out.push(arg.eval(row).map_err(DbError::Data)?);
+            }
+            row.push(slot.udf.eval(out, &slot.params)?);
+        }
+        *udf_calls += self.slots.len() as u64;
+        out.clear();
+        for e in &self.exprs {
+            out.push(e.eval(row).map_err(DbError::Data)?);
+        }
+        row.truncate(self.width);
+        Ok(())
+    }
+
+    /// Whether the one bound predicate is TRUE on `row` (NULL and FALSE
+    /// are both rejected, as in SQL WHERE).
+    fn holds(&self, row: &mut Row, out: &mut Vec<Value>, udf_calls: &mut u64) -> DbResult<bool> {
+        self.eval(row, out, udf_calls)?;
+        Ok(matches!(out[0], Value::Boolean(true)))
+    }
+
+    /// Keep the rows on which the one bound predicate holds.
+    fn filter(&self, rows: Vec<Row>, udf_calls: &mut u64) -> DbResult<Vec<Row>> {
+        let mut kept = Vec::with_capacity(rows.len());
+        let mut out = Vec::new();
+        for mut row in rows {
+            if self.holds(&mut row, &mut out, udf_calls)? {
+                kept.push(row);
+            }
+        }
+        Ok(kept)
+    }
+
+    /// Narrow the input to the columns the expressions read, rebinding
+    /// them to positions in that list; returns the list as scope
+    /// ordinals in first-use order.
+    fn narrow(&mut self) -> Vec<usize> {
+        let mut used = Vec::new();
+        for e in self.slots.iter().flat_map(|s| &s.args).chain(&self.exprs) {
+            e.referenced_indices(&mut used);
+        }
+        used.retain(|&i| i < self.width);
+        let (width, narrowed) = (self.width, used.len());
+        let map = |i: usize| {
+            used.iter()
+                .position(|&u| u == i)
+                .unwrap_or_else(|| i - width + narrowed)
+        };
+        let slot_args = self.slots.iter_mut().flat_map(|s| &mut s.args);
+        for e in slot_args.chain(&mut self.exprs) {
+            e.map_indices(&map);
+        }
+        self.width = narrowed;
+        used
+    }
+}
+
+/// The SELECT items of a non-aggregating query, bound once: one
+/// expression and output name per item.
+struct Items {
+    exprs: RowExprs,
+    names: Vec<String>,
+}
+
+impl Items {
+    fn bind(items: &[SelectItem], scope: &Scope, cluster: &Cluster) -> DbResult<Items> {
+        let mut binder = Binder::new(scope, Target::Rows(cluster));
+        let mut exprs = Vec::with_capacity(items.len());
+        let mut names = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            let SelectItem::Expr { expr, alias } = item else {
+                return Err(DbError::Execution(
+                    "SELECT * cannot be mixed with expressions".into(),
+                ));
+            };
+            exprs.push(binder.bind(expr)?);
+            names.push(output_name(expr, alias.as_deref(), i));
+        }
+        Ok(Items {
+            exprs: binder.finish(exprs),
+            names,
+        })
+    }
+
+    /// Evaluate the items over `rows`, whose columns `input` describes.
+    fn project(
+        &self,
+        input: &Schema,
+        rows: Vec<Row>,
+        epoch: u64,
+        udf_calls: &mut u64,
+    ) -> DbResult<QueryResult> {
+        let mut out_rows = Vec::with_capacity(rows.len());
+        let mut values = Vec::new();
+        for mut row in rows {
+            self.exprs.eval(&mut row, &mut values, udf_calls)?;
+            out_rows.push(Row::new(std::mem::take(&mut values)));
+        }
+        let types = self.exprs.exprs.iter().map(|e| static_type(e, input));
+        Ok(QueryResult {
+            count: out_rows.len() as u64,
+            schema: output_schema(&self.names, types, &out_rows),
+            rows: out_rows,
+            epoch,
+            batch: None,
+        })
+    }
+}
+
+/// The static type of a bound expression over `input`, when it has one.
+fn static_type(expr: &Expr, input: &Schema) -> Option<DataType> {
+    expr.result_type(input).ok().flatten()
+}
+
+/// The output schema: each column's static type, else (a UDF result, a
+/// bare NULL) its first non-NULL value's, else VARCHAR.
+fn output_schema(
+    names: &[String],
+    types: impl IntoIterator<Item = Option<DataType>>,
+    rows: &[Row],
+) -> Schema {
+    let fields = names
+        .iter()
+        .zip(types)
+        .enumerate()
+        .map(|(i, (name, dtype))| {
+            let dtype = dtype
+                .or_else(|| rows.iter().find_map(|r| r.get(i).data_type()))
+                .unwrap_or(DataType::Varchar);
+            Field::new(name.clone(), dtype)
+        })
+        .collect();
+    Schema::new(fields)
+}
+
+fn record_udf_calls(session: &Session, udf_calls: u64) {
+    if udf_calls > 0 {
+        // One event per statement; the cost model's rate is per call.
+        session.cluster().recorder().work(
+            session.task_tag(),
+            NodeRef::Db(session.node()),
+            "udf_eval",
+            udf_calls,
+            0,
+        );
+    }
+}
+
+// ----- lowering --------------------------------------------------------
 
 /// A single-table SELECT on a base table, lowered onto the pushdown
 /// scan by [`lower_select`].
@@ -408,10 +728,9 @@ enum Lowered {
     /// A filtered scan of the selected plain columns; its output is the
     /// result.
     Columns(QuerySpec),
-    /// A filtered scan of only the columns the items reference; the
-    /// items (expressions, UDF calls) are evaluated on its rows, with
-    /// columns qualified by `qualifier`.
-    Items { spec: QuerySpec, qualifier: String },
+    /// A filtered scan of only the columns the items read; the bound
+    /// items (expressions, UDF calls) are evaluated on its rows.
+    Items { spec: QuerySpec, items: Items },
 }
 
 impl Lowered {
@@ -421,65 +740,6 @@ impl Lowered {
             | Lowered::Columns(spec)
             | Lowered::Items { spec, .. } => spec,
         }
-    }
-}
-
-/// Resolves a SELECT's column references against one table's schema.
-struct TableBinder<'a> {
-    schema: &'a Schema,
-    /// What columns may be qualified with: the alias, else the table.
-    qualifier: &'a str,
-}
-
-impl TableBinder<'_> {
-    /// The schema's name for `expr` when it is a bare column of the
-    /// table.
-    fn column(&self, expr: &ExprAst) -> Option<String> {
-        let ExprAst::Column { qualifier, name } = expr else {
-            return None;
-        };
-        if qualifier
-            .as_deref()
-            .is_some_and(|q| !q.eq_ignore_ascii_case(self.qualifier))
-        {
-            return None;
-        }
-        let idx = self.schema.index_of(name).ok()?;
-        Some(self.schema.field(idx).name.clone())
-    }
-
-    /// Add the schema names of the columns `expr` references to `out`;
-    /// `None` if one is not a column of the table or `expr` holds `*`.
-    fn referenced(&self, expr: &ExprAst, out: &mut Vec<String>) -> Option<()> {
-        match expr {
-            ExprAst::Column { .. } => {
-                let column = self.column(expr)?;
-                if !out.contains(&column) {
-                    out.push(column);
-                }
-            }
-            ExprAst::Literal(_) => {}
-            ExprAst::Binary { left, right, .. } => {
-                self.referenced(left, out)?;
-                self.referenced(right, out)?;
-            }
-            ExprAst::Not(e) | ExprAst::Neg(e) | ExprAst::IsNull(e) | ExprAst::IsNotNull(e) => {
-                self.referenced(e, out)?
-            }
-            ExprAst::Like { expr, .. } => self.referenced(expr, out)?,
-            ExprAst::FuncCall { args, .. } => {
-                for a in args {
-                    self.referenced(a, out)?;
-                }
-            }
-            ExprAst::Star => return None,
-        }
-        Some(())
-    }
-
-    /// Whether `a` and `b` are the same column of the table.
-    fn same_column(&self, a: &ExprAst, b: &ExprAst) -> bool {
-        self.column(a).is_some_and(|c| self.column(b) == Some(c))
     }
 }
 
@@ -503,42 +763,36 @@ fn lower_select(cluster: &Cluster, select: &SelectStmt) -> Option<Lowered> {
         return None;
     }
     let def = cluster.table_def(&from.table).ok()?;
-    let binder = TableBinder {
-        schema: &def.schema,
-        qualifier: from.alias.as_deref().unwrap_or(&from.table),
-    };
+    let scope = Scope::from_schema(
+        Some(from.alias.as_deref().unwrap_or(&from.table)),
+        &def.schema,
+    );
     let mut spec = QuerySpec::scan(from.table.as_str());
     spec.as_of_epoch = select.at_epoch;
     if let Some(p) = &select.predicate {
-        let pred = lower_scalar_qualified(p, Some(binder.qualifier)).ok()?;
-        pred.bind(binder.schema).ok()?;
-        spec.predicate = Some(pred);
+        spec.predicate = Some(Binder::new(&scope, Target::Storage).bind(p).ok()?);
     }
     if is_aggregating(select) {
-        lower_aggregate(select, &binder, spec)
+        lower_aggregate(select, &scope, spec)
     } else {
-        lower_projection(select, &binder, spec)
+        lower_projection(select, &scope, cluster, spec)
     }
 }
 
-fn lower_aggregate(
-    select: &SelectStmt,
-    binder: &TableBinder<'_>,
-    mut spec: QuerySpec,
-) -> Option<Lowered> {
+fn lower_aggregate(select: &SelectStmt, scope: &Scope, mut spec: QuerySpec) -> Option<Lowered> {
     let group_by = select
         .group_by
         .iter()
-        .map(|g| binder.column(g))
+        .map(|g| scope.column_name(g))
         .collect::<Option<Vec<_>>>()?;
-    let plan = AggPlan::new(select, |a, b| binder.same_column(a, b)).ok()?;
+    let plan = AggPlan::new(select, scope).ok()?;
     // Only COUNT(*) and aggregates of bare columns fold in the scan.
     let mut calls = plan
         .calls
         .iter()
         .map(|&(func, arg)| match arg {
             None => Some(AggCall::count_star()),
-            Some(a) => Some(AggCall::new(func, binder.column(a)?)),
+            Some(a) => Some(AggCall::new(func, scope.column_name(a)?)),
         })
         .collect::<Option<Vec<_>>>()?;
     // The scan folds at least one call; a GROUP BY without aggregates
@@ -556,7 +810,8 @@ fn lower_aggregate(
 
 fn lower_projection(
     select: &SelectStmt,
-    binder: &TableBinder<'_>,
+    scope: &Scope,
+    cluster: &Cluster,
     mut spec: QuerySpec,
 ) -> Option<Lowered> {
     // Without ORDER BY the scan can stop at the limit.
@@ -569,7 +824,7 @@ fn lower_projection(
         .items
         .iter()
         .map(|item| match item {
-            SelectItem::Expr { expr, alias: None } => binder.column(expr),
+            SelectItem::Expr { expr, alias: None } => scope.column_name(expr),
             _ => None,
         })
         .collect();
@@ -578,18 +833,10 @@ fn lower_projection(
         spec.limit = limit;
         return Some(Lowered::Columns(spec));
     }
-    let mut referenced = Vec::new();
-    for item in &select.items {
-        let SelectItem::Expr { expr, .. } = item else {
-            return None;
-        };
-        binder.referenced(expr, &mut referenced)?;
-    }
-    spec.projection = Some(referenced);
-    Some(Lowered::Items {
-        spec,
-        qualifier: binder.qualifier.to_string(),
-    })
+    let mut items = Items::bind(&select.items, scope, cluster).ok()?;
+    let read = items.exprs.narrow();
+    spec.projection = Some(read.iter().map(|&i| scope.cols[i].1.clone()).collect());
+    Some(Lowered::Items { spec, items })
 }
 
 pub(crate) fn execute_select(
@@ -601,28 +848,11 @@ pub(crate) fn execute_select(
         return Err(DbError::Execution("view nesting too deep".into()));
     }
     let epoch = session.resolve_epoch(select.at_epoch)?;
+    if select.from.is_none() && select.items.contains(&SelectItem::Star) {
+        return Err(DbError::Execution("SELECT * requires FROM".into()));
+    }
 
-    // SELECT without FROM: constant expressions, one row.
-    let Some(from) = &select.from else {
-        let mut values = Vec::new();
-        let mut names = Vec::new();
-        for (i, item) in select.items.iter().enumerate() {
-            let SelectItem::Expr { expr, alias } = item else {
-                return Err(DbError::Execution("SELECT * requires FROM".into()));
-            };
-            values.push(eval_const(expr)?);
-            names.push(output_name(expr, alias.as_deref(), i));
-        }
-        let schema = infer_schema(&names, std::slice::from_ref(&Row::new(values.clone())));
-        return Ok(QueryResult {
-            schema,
-            rows: vec![Row::new(values)],
-            count: 1,
-            epoch,
-            batch: None,
-        });
-    };
-
+    let mut udf_calls = 0;
     let mut result = match lower_select(session.cluster(), select) {
         Some(Lowered::Aggregate {
             spec,
@@ -651,13 +881,13 @@ pub(crate) fn execute_select(
             }
         }
         Some(Lowered::Columns(spec)) => session.query(&spec)?,
-        Some(Lowered::Items { spec, qualifier }) => {
+        Some(Lowered::Items { spec, items }) => {
             let r = session.query(&spec)?;
-            let scope = Scope::from_schema(Some(&qualifier), &r.schema);
-            project_rows(session, &select.items, &scope, r.rows, r.epoch)?
+            items.project(&r.schema, r.rows, r.epoch, &mut udf_calls)?
         }
-        None => execute_row_path(session, select, from, epoch, depth)?,
+        None => execute_row_path(session, select, epoch, depth, &mut udf_calls)?,
     };
+    record_udf_calls(session, udf_calls);
 
     apply_order_by(&mut result, &select.order_by)?;
     if let Some(limit) = select.limit {
@@ -668,49 +898,58 @@ pub(crate) fn execute_select(
 }
 
 /// The row path, for what [`lower_select`] does not lower: materialize
-/// the base relation(s), join, then filter and aggregate or project row
-/// by row.
+/// the base relation(s) (one empty row without FROM), join, then bind
+/// the WHERE and the items once and evaluate them row by row.
 fn execute_row_path(
     session: &mut Session,
     select: &SelectStmt,
-    from: &TableRef,
     epoch: u64,
     depth: usize,
+    udf_calls: &mut u64,
 ) -> DbResult<QueryResult> {
-    let (mut rows, mut scope) = load_relation(
-        session,
-        &from.table,
-        from.alias.as_deref(),
-        select.at_epoch,
-        depth,
-    )?;
-
+    let (mut rows, mut scope) = match &select.from {
+        Some(from) => load_relation(session, from, select.at_epoch, depth)?,
+        None => (vec![Row::default()], Scope { cols: Vec::new() }),
+    };
     for join in &select.joins {
-        let (right_rows, right_scope) = load_relation(
-            session,
-            &join.table.table,
-            join.table.alias.as_deref(),
-            select.at_epoch,
-            depth,
+        let (right_rows, right_scope) =
+            load_relation(session, &join.table, select.at_epoch, depth)?;
+        rows = execute_join(
+            session.cluster(),
+            rows,
+            &scope,
+            right_rows,
+            &right_scope,
+            &join.on,
+            udf_calls,
         )?;
-        rows = execute_join(session, rows, &scope, right_rows, &right_scope, &join.on)?;
         scope.cols.extend(right_scope.cols);
     }
 
-    if let Some(pred) = &select.predicate {
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            if matches!(eval_ast(session, pred, &scope, &row)?, Value::Boolean(true)) {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
-
+    let cluster = session.cluster();
+    let predicate = match &select.predicate {
+        Some(p) => Some(RowExprs::bind(&scope, cluster, std::slice::from_ref(p))?),
+        None => None,
+    };
+    let filter = |rows: Vec<Row>, udf_calls: &mut u64| match &predicate {
+        Some(p) => p.filter(rows, udf_calls),
+        None => Ok(rows),
+    };
     if is_aggregating(select) {
-        aggregate_scoped(session, select, &scope, rows, epoch)
+        let aggregate = Aggregate::bind(select, &scope, cluster)?;
+        aggregate.run(filter(rows, udf_calls)?, epoch, udf_calls)
+    } else if let [SelectItem::Star] = select.items.as_slice() {
+        let rows = filter(rows, udf_calls)?;
+        Ok(QueryResult {
+            count: rows.len() as u64,
+            schema: scope.schema(),
+            rows,
+            epoch,
+            batch: None,
+        })
     } else {
-        project_rows(session, &select.items, &scope, rows, epoch)
+        let items = Items::bind(&select.items, &scope, cluster)?;
+        items.project(&scope.schema(), filter(rows, udf_calls)?, epoch, udf_calls)
     }
 }
 
@@ -775,32 +1014,33 @@ fn view_select(session: &Session, name: &str, at_epoch: Option<u64>) -> Option<S
 /// Load a table or view as rows plus a resolution scope.
 fn load_relation(
     session: &mut Session,
-    name: &str,
-    alias: Option<&str>,
+    table: &TableRef,
     at_epoch: Option<u64>,
     depth: usize,
 ) -> DbResult<(Vec<Row>, Scope)> {
-    if let Some(vsel) = view_select(session, name, at_epoch) {
-        let r = execute_select(session, &vsel, depth + 1)?;
-        let scope = Scope::from_schema(alias.or(Some(name)), &r.schema);
-        return Ok((r.rows, scope));
-    }
-    let mut spec = QuerySpec::scan(name);
-    spec.as_of_epoch = at_epoch;
-    let r = session.query(&spec)?;
-    let scope = Scope::from_schema(alias.or(Some(name)), &r.schema);
-    Ok((r.rows, scope))
+    let r = match view_select(session, &table.table, at_epoch) {
+        Some(vsel) => execute_select(session, &vsel, depth + 1)?,
+        None => {
+            let mut spec = QuerySpec::scan(table.table.as_str());
+            spec.as_of_epoch = at_epoch;
+            session.query(&spec)?
+        }
+    };
+    let qualifier = table.alias.as_deref().unwrap_or(&table.table);
+    Ok((r.rows, Scope::from_schema(Some(qualifier), &r.schema)))
 }
 
 /// Inner join. Uses a hash join when the ON clause is a simple equality
-/// of one left and one right column; falls back to a nested loop.
+/// of one left and one right column; else a nested loop that evaluates
+/// the ON clause, bound once, per pair of rows.
 fn execute_join(
-    session: &mut Session,
+    cluster: &Cluster,
     left: Vec<Row>,
     left_scope: &Scope,
     right: Vec<Row>,
     right_scope: &Scope,
     on: &ExprAst,
+    udf_calls: &mut u64,
 ) -> DbResult<Vec<Row>> {
     // `l.col = r.col`, in either orientation: hash join.
     if let ExprAst::Binary {
@@ -816,20 +1056,16 @@ fn execute_join(
         }
     }
 
-    // Nested loop with full ON evaluation.
-    let combined_scope = Scope {
+    let combined = Scope {
         cols: [left_scope.cols.as_slice(), &right_scope.cols].concat(),
     };
+    let on = RowExprs::bind(&combined, cluster, std::slice::from_ref(on))?;
     let mut out = Vec::new();
+    let mut scratch = Vec::new();
     for l in &left {
         for r in &right {
-            let mut values = l.values().to_vec();
-            values.extend_from_slice(r.values());
-            let row = Row::new(values);
-            if matches!(
-                eval_ast(session, on, &combined_scope, &row)?,
-                Value::Boolean(true)
-            ) {
+            let mut row = Row::new([l.values(), r.values()].concat());
+            if on.holds(&mut row, &mut scratch, udf_calls)? {
                 out.push(row);
             }
         }
@@ -909,11 +1145,9 @@ struct AggPlan<'a> {
 
 impl<'a> AggPlan<'a> {
     /// Errors when an item is neither a group key nor an aggregate
-    /// call; `same_column` says whether two expressions are one column.
-    fn new(
-        select: &'a SelectStmt,
-        same_column: impl Fn(&ExprAst, &ExprAst) -> bool,
-    ) -> DbResult<AggPlan<'a>> {
+    /// call; an item is a group key when it is one, or the same column
+    /// of `scope`.
+    fn new(select: &'a SelectStmt, scope: &Scope) -> DbResult<AggPlan<'a>> {
         let keys = select.group_by.len();
         let mut plan = AggPlan {
             calls: Vec::new(),
@@ -930,7 +1164,7 @@ impl<'a> AggPlan<'a> {
             let key = select
                 .group_by
                 .iter()
-                .position(|g| g == expr || same_column(g, expr));
+                .position(|g| g == expr || scope.same_column(g, expr));
             plan.columns.push(match key {
                 Some(k) => k,
                 None => {
@@ -943,264 +1177,83 @@ impl<'a> AggPlan<'a> {
     }
 }
 
-/// Row-path aggregation (joins, views, expression keys or arguments):
-/// the grouped accumulators of [`common::agg`] that the scan folds
-/// into, fed by evaluating every key and argument per row. An item's
-/// type is static when it is a bare column, COUNT, AVG, or SUM/MIN/MAX
-/// of a bare column, as on the lowered path; otherwise it comes from
-/// the values.
-fn aggregate_scoped(
-    session: &mut Session,
-    select: &SelectStmt,
-    scope: &Scope,
-    rows: Vec<Row>,
-    epoch: u64,
-) -> DbResult<QueryResult> {
-    let same_column =
-        |a: &ExprAst, b: &ExprAst| scope.column(a).is_some_and(|c| scope.column(b) == Some(c));
-    let AggPlan {
-        calls,
-        columns,
-        names,
-    } = AggPlan::new(select, same_column)?;
-    let column_type = |e: &ExprAst| scope.column(e).map(|c| scope.cols[c].2);
-    let keys = select.group_by.len();
-    let dtypes = columns.iter().map(|&c| match c.checked_sub(keys) {
-        None => column_type(&select.group_by[c]),
-        Some(k) => match calls[k] {
-            (AggFunc::Count, _) => Some(DataType::Int64),
-            (AggFunc::Avg, _) => Some(DataType::Float64),
-            (_, arg) => arg.and_then(column_type),
-        },
-    });
-
-    let mut accs = GroupedAccs::new(calls.iter().map(|(f, _)| *f).collect());
-    let mut key = Vec::with_capacity(select.group_by.len());
-    for row in &rows {
-        key.clear();
-        for g in &select.group_by {
-            key.push(eval_ast(session, g, scope, row)?);
-        }
-        let group = accs.entry(&key);
-        for ((_, arg), acc) in calls.iter().zip(group.iter_mut()) {
-            let v = match arg {
-                Some(a) => eval_ast(session, a, scope, row)?,
-                None => Value::Int64(1),
-            };
-            acc.update(&v).map_err(DbError::Data)?;
-        }
-    }
-    if select.group_by.is_empty() {
-        accs.ensure_global_group();
-    }
-
-    let out_rows: Vec<Row> = accs
-        .finalize_rows()
-        .iter()
-        .map(|r| Row::new(columns.iter().map(|&c| r.get(c).clone()).collect()))
-        .collect();
-    let inferred = infer_schema(&names, &out_rows);
-    let schema = Schema::new(
-        inferred
-            .fields()
-            .iter()
-            .zip(dtypes)
-            .map(|(f, dtype)| Field::new(f.name.clone(), dtype.unwrap_or(f.dtype)))
-            .collect(),
-    );
-    Ok(QueryResult {
-        count: out_rows.len() as u64,
-        schema,
-        rows: out_rows,
-        epoch,
-        batch: None,
-    })
+/// Row-path aggregation (joins, views, expression keys or arguments),
+/// bound once: the GROUP BY keys and then the aggregate arguments as
+/// one set of row expressions, folded per row into the grouped
+/// accumulators of [`common::agg`] that the scan folds into.
+struct Aggregate {
+    funcs: Vec<AggFunc>,
+    keys: usize,
+    exprs: RowExprs,
+    /// Per output column: the finalized row's column it reads, its name
+    /// and its static type.
+    columns: Vec<usize>,
+    names: Vec<String>,
+    types: Vec<Option<DataType>>,
 }
 
-// ----- projection ----------------------------------------------------
+impl Aggregate {
+    fn bind(select: &SelectStmt, scope: &Scope, cluster: &Cluster) -> DbResult<Aggregate> {
+        let AggPlan {
+            calls,
+            columns,
+            names,
+        } = AggPlan::new(select, scope)?;
+        let mut binder = Binder::new(scope, Target::Rows(cluster));
+        let mut exprs = binder.bind_all(&select.group_by)?;
+        for (_, arg) in &calls {
+            exprs.push(match arg {
+                Some(a) => binder.bind(a)?,
+                // COUNT(*) counts every row.
+                None => Expr::Literal(Value::Int64(1)),
+            });
+        }
+        let keys = select.group_by.len();
+        let input = scope.schema();
+        let types = columns
+            .iter()
+            .map(|&c| match c.checked_sub(keys).map(|k| calls[k].0) {
+                Some(AggFunc::Count) => Some(DataType::Int64),
+                Some(AggFunc::Avg) => Some(DataType::Float64),
+                // Keys, and SUM/MIN/MAX, have their input's type.
+                _ => static_type(&exprs[c], &input),
+            })
+            .collect();
+        Ok(Aggregate {
+            funcs: calls.iter().map(|(f, _)| *f).collect(),
+            keys,
+            exprs: binder.finish(exprs),
+            columns,
+            names,
+            types,
+        })
+    }
 
-fn project_rows(
-    session: &mut Session,
-    items: &[SelectItem],
-    scope: &Scope,
-    rows: Vec<Row>,
-    epoch: u64,
-) -> DbResult<QueryResult> {
-    // Pure `SELECT *`.
-    if let [SelectItem::Star] = items {
-        let schema = Schema::new(
-            scope
-                .cols
-                .iter()
-                .map(|(_, name, dtype)| Field::new(name.clone(), *dtype))
-                .collect(),
-        );
-        return Ok(QueryResult {
-            count: rows.len() as u64,
-            schema,
-            rows,
+    fn run(&self, rows: Vec<Row>, epoch: u64, udf_calls: &mut u64) -> DbResult<QueryResult> {
+        let mut accs = GroupedAccs::new(self.funcs.clone());
+        let mut values = Vec::new();
+        for mut row in rows {
+            self.exprs.eval(&mut row, &mut values, udf_calls)?;
+            let (key, args) = values.split_at(self.keys);
+            for (v, acc) in args.iter().zip(accs.entry(key).iter_mut()) {
+                acc.update(v).map_err(DbError::Data)?;
+            }
+        }
+        if self.keys == 0 {
+            accs.ensure_global_group();
+        }
+        let out_rows: Vec<Row> = accs
+            .finalize_rows()
+            .iter()
+            .map(|r| Row::new(self.columns.iter().map(|&c| r.get(c).clone()).collect()))
+            .collect();
+        Ok(QueryResult {
+            count: out_rows.len() as u64,
+            schema: output_schema(&self.names, self.types.iter().copied(), &out_rows),
+            rows: out_rows,
             epoch,
             batch: None,
-        });
-    }
-    let mut exprs = Vec::with_capacity(items.len());
-    let mut names = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let SelectItem::Expr { expr, alias } = item else {
-            return Err(DbError::Execution(
-                "SELECT * cannot be mixed with expressions".into(),
-            ));
-        };
-        exprs.push(expr);
-        names.push(output_name(expr, alias.as_deref(), i));
-    }
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for row in &rows {
-        let mut values = Vec::with_capacity(exprs.len());
-        for expr in &exprs {
-            values.push(eval_ast(session, expr, scope, row)?);
-        }
-        out_rows.push(Row::new(values));
-    }
-    let schema = infer_schema(&names, &out_rows);
-    Ok(QueryResult {
-        count: out_rows.len() as u64,
-        schema,
-        rows: out_rows,
-        epoch,
-        batch: None,
-    })
-}
-
-// ----- expression evaluation ------------------------------------------
-
-/// Lower an AST expression to a shared [`Expr`] (no UDFs, no
-/// aggregates, no qualifiers). Errors when the expression isn't a pure
-/// scalar over unqualified columns.
-pub(crate) fn lower_scalar(ast: &ExprAst) -> DbResult<Expr> {
-    lower_scalar_qualified(ast, None)
-}
-
-/// Like [`lower_scalar`] but strips a known table alias off qualified
-/// column references.
-fn lower_scalar_qualified(ast: &ExprAst, alias: Option<&str>) -> DbResult<Expr> {
-    Ok(match ast {
-        ExprAst::Column { qualifier, name } => match qualifier {
-            None => Expr::Column(name.clone()),
-            Some(q) if alias.is_some_and(|a| a.eq_ignore_ascii_case(q)) => {
-                Expr::Column(name.clone())
-            }
-            Some(q) => {
-                return Err(DbError::Execution(format!(
-                    "cannot lower qualified column {q}.{name}"
-                )))
-            }
-        },
-        ExprAst::Literal(v) => Expr::Literal(v.clone()),
-        ExprAst::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(lower_scalar_qualified(left, alias)?),
-            op: *op,
-            right: Box::new(lower_scalar_qualified(right, alias)?),
-        },
-        ExprAst::Not(e) => Expr::Not(Box::new(lower_scalar_qualified(e, alias)?)),
-        ExprAst::Neg(e) => Expr::Neg(Box::new(lower_scalar_qualified(e, alias)?)),
-        ExprAst::IsNull(e) => Expr::IsNull(Box::new(lower_scalar_qualified(e, alias)?)),
-        ExprAst::IsNotNull(e) => Expr::IsNotNull(Box::new(lower_scalar_qualified(e, alias)?)),
-        ExprAst::Like { expr, pattern } => Expr::Like {
-            expr: Box::new(lower_scalar_qualified(expr, alias)?),
-            pattern: pattern.clone(),
-        },
-        ExprAst::FuncCall { name, .. } => {
-            return Err(DbError::Execution(format!(
-                "function {name} cannot be lowered to a storage predicate"
-            )))
-        }
-        ExprAst::Star => return Err(DbError::Execution("* is not a scalar expression".into())),
-    })
-}
-
-/// Evaluate a constant expression (no column references).
-fn eval_const(expr: &ExprAst) -> DbResult<Value> {
-    let lowered = lower_scalar(expr)?;
-    let empty_schema = Schema::new(vec![]);
-    let bound = lowered.bind(&empty_schema).map_err(|_| {
-        DbError::Execution("expression must be constant (no column references)".into())
-    })?;
-    bound.eval(&Row::new(vec![])).map_err(DbError::Data)
-}
-
-/// Evaluate an AST expression over a scoped row; handles UDF calls.
-fn eval_ast(session: &mut Session, expr: &ExprAst, scope: &Scope, row: &Row) -> DbResult<Value> {
-    match expr {
-        ExprAst::Column { qualifier, name } => {
-            let idx = scope.resolve(qualifier.as_deref(), name)?;
-            Ok(row.get(idx).clone())
-        }
-        ExprAst::Literal(v) => Ok(v.clone()),
-        ExprAst::Binary { left, op, right } => {
-            // Reuse the shared evaluator by building a tiny bound tree.
-            let l = eval_ast(session, left, scope, row)?;
-            let r = eval_ast(session, right, scope, row)?;
-            let e = Expr::Binary {
-                left: Box::new(Expr::Literal(l)),
-                op: *op,
-                right: Box::new(Expr::Literal(r)),
-            };
-            e.eval(&Row::new(vec![])).map_err(DbError::Data)
-        }
-        ExprAst::Not(e) => {
-            let v = eval_ast(session, e, scope, row)?;
-            Expr::Not(Box::new(Expr::Literal(v)))
-                .eval(&Row::new(vec![]))
-                .map_err(DbError::Data)
-        }
-        ExprAst::Neg(e) => {
-            let v = eval_ast(session, e, scope, row)?;
-            Expr::Neg(Box::new(Expr::Literal(v)))
-                .eval(&Row::new(vec![]))
-                .map_err(DbError::Data)
-        }
-        ExprAst::IsNull(e) => Ok(Value::Boolean(eval_ast(session, e, scope, row)?.is_null())),
-        ExprAst::IsNotNull(e) => Ok(Value::Boolean(!eval_ast(session, e, scope, row)?.is_null())),
-        ExprAst::Like { expr, pattern } => {
-            let v = eval_ast(session, expr, scope, row)?;
-            Expr::Like {
-                expr: Box::new(Expr::Literal(v)),
-                pattern: pattern.clone(),
-            }
-            .eval(&Row::new(vec![]))
-            .map_err(DbError::Data)
-        }
-        ExprAst::FuncCall {
-            name,
-            args,
-            parameters,
-        } => {
-            if is_aggregate_name(name) {
-                return Err(DbError::Execution(format!(
-                    "aggregate {name} not allowed here"
-                )));
-            }
-            let udf = session
-                .cluster()
-                .udf(name)
-                .ok_or_else(|| DbError::Udf(format!("unknown function: {name}")))?;
-            let arg_values: Vec<Value> = args
-                .iter()
-                .map(|a| eval_ast(session, a, scope, row))
-                .collect::<DbResult<_>>()?;
-            let params = UdfParams::new(parameters);
-            let out = udf.eval(&arg_values, &params)?;
-            session.cluster().recorder().work(
-                session.task_tag(),
-                NodeRef::Db(session.node()),
-                "udf_eval",
-                1,
-                0,
-            );
-            Ok(out)
-        }
-        ExprAst::Star => Err(DbError::Execution("* is not a scalar expression".into())),
+        })
     }
 }
 
@@ -1213,22 +1266,6 @@ fn output_name(expr: &ExprAst, alias: Option<&str>, idx: usize) -> String {
         ExprAst::FuncCall { name, .. } => name.to_ascii_lowercase(),
         _ => format!("col{idx}"),
     }
-}
-
-/// Infer an output schema from names and the first rows' value types.
-fn infer_schema(names: &[String], rows: &[Row]) -> Schema {
-    let fields = names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let dtype = rows
-                .iter()
-                .find_map(|r| r.get(i).data_type())
-                .unwrap_or(DataType::Varchar);
-            Field::new(name.clone(), dtype)
-        })
-        .collect();
-    Schema::new(fields)
 }
 
 /// Scan a view through the programmatic query API: execute the stored

@@ -11,8 +11,7 @@
 //! * **Counters** — named monotonic `u64`s (`rows loaded`, `task
 //!   retries`, ...), updated with a single atomic add.
 //! * **Timers** — named log2-bucketed histograms of span durations,
-//!   recorded via [`Collector::record_time`] or the RAII
-//!   [`Span`] guard.
+//!   recorded via [`Collector::record_time`].
 //! * **Histograms** ([`Histo`]) — named log-linear value histograms
 //!   with exact-rank quantile extraction at ~1.6% bucket resolution
 //!   (and *exactly* for values below [`HISTO_LINEAR_MAX`]), recorded
@@ -667,17 +666,6 @@ impl Collector {
         self.traces.lock().trace_ids()
     }
 
-    /// Start a RAII span; its wall time is recorded when the guard
-    /// drops (or sooner via [`Span::finish`]).
-    pub fn span<'a>(&'a self, name: &'static str) -> Span<'a> {
-        Span {
-            collector: self,
-            name,
-            start: Instant::now(),
-            done: false,
-        }
-    }
-
     /// Copy out events, counters, and timers.
     pub fn snapshot(&self) -> Snapshot {
         let mut events: Vec<Event> = Vec::new();
@@ -724,36 +712,6 @@ impl Collector {
         self.histos.write().clear();
         self.traces.lock().clear();
         self.dropped.store(0, Ordering::Relaxed);
-    }
-}
-
-/// RAII timer guard from [`Collector::span`].
-pub struct Span<'a> {
-    collector: &'a Collector,
-    name: &'static str,
-    start: Instant,
-    done: bool,
-}
-
-impl Span<'_> {
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Record now and return the measured duration.
-    pub fn finish(mut self) -> Duration {
-        let dur = self.start.elapsed();
-        self.collector.record_time(self.name, dur);
-        self.done = true;
-        dur
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            self.collector.record_time(self.name, self.start.elapsed());
-        }
     }
 }
 
@@ -824,19 +782,6 @@ mod tests {
         assert!(stats.p50_us >= 10 && stats.p50_us < 5000, "{stats:?}");
         assert!(stats.p99_us >= stats.p50_us);
         assert!(stats.p99_us <= 5000);
-    }
-
-    #[test]
-    fn span_guard_records_on_drop_and_finish() {
-        let c = Collector::new();
-        {
-            let _s = c.span("implicit");
-        }
-        let d = c.span("explicit").finish();
-        let snap = c.snapshot();
-        assert_eq!(snap.timers["implicit"].count, 1);
-        assert_eq!(snap.timers["explicit"].count, 1);
-        assert!(snap.timers["explicit"].sum_us <= d.as_micros() as u64 + 1);
     }
 
     #[test]

@@ -10,9 +10,9 @@ cargo fmt --all --check
 # dependency-free, builds in seconds, and fails on any determinism /
 # obs-registry / error-taxonomy / panic-hygiene / SAFETY violation —
 # or, via the flow-sensitive passes, any static lock-order cycle,
-# blocking call under a live guard, dropped Deadline/TraceCtx, or
-# deprecated save-shim caller — not explicitly excepted in
-# fabriclint.allow or an inline allow comment. The JSON report lands
+# blocking call under a live guard, or dropped Deadline/TraceCtx —
+# not explicitly excepted in fabriclint.allow or an inline allow
+# comment. The JSON report lands
 # in target/ for tooling that wants machine-readable findings.
 echo "== fabriclint --workspace"
 cargo run -q -p fabriclint -- --workspace
